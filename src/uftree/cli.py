@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from . import forest, recognize, reduction
 from .errors import CapExceeded, FormatError, InvalidTreeError
@@ -37,16 +36,7 @@ def _load_tree(path: str, max_nodes: int | None) -> RankedTree:
     cap = max_nodes if max_nodes is not None else PARSE_NODE_CAP
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        if line.strip().isdigit() and int(line) > cap:
-            raise CapExceeded(f"tree has {int(line)} nodes, cap is {cap}")
-        break
-    tree = parse_tree(text)
-    if tree.node_count > cap:
-        raise CapExceeded(f"tree has {tree.node_count} nodes, cap is {cap}")
-    return tree
+    return parse_tree(text, max_nodes=cap)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -127,32 +117,6 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return EXIT_ACCEPTED
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    log = forest.random_oplog(args.nodes, args.ops, seed)
-    t0 = time.perf_counter()
-    built = forest.replay(log)
-    replay_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    trees = forest.export_trees(built)
-    export_s = time.perf_counter() - t0
-    largest = max(trees, key=lambda e: e.tree.node_count).tree
-    t0 = time.perf_counter()
-    verdict = recognize.is_union_find_tree(largest, budget=args.budget)
-    recognize_s = time.perf_counter() - t0
-    sys.stdout.write(
-        f"elements={args.nodes}\n"
-        f"ops={args.ops}\n"
-        f"trees={len(trees)}\n"
-        f"largest={largest.node_count}\n"
-        f"replay_us_per_op={1e6 * replay_s / max(1, args.ops):.2f}\n"
-        f"export_ms={1e3 * export_s:.2f}\n"
-        f"recognize_ms={1e3 * recognize_s:.2f}\n"
-        f"verdict={verdict.reason}\n"
-    )
-    return EXIT_ACCEPTED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uftree",
@@ -207,18 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dot)
 
-    p = sub.add_parser("bench", help="smoke benchmark of replay, export, recognition")
-    p.add_argument("-n", "--nodes", type=int, default=256)
-    p.add_argument("--ops", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=20_000,
-        help="recognition step limit; exceeding it reports search-exhausted",
-    )
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -233,6 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print(f"uftree: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (RecursionError, MemoryError) as exc:
+        # running out of stack or memory decides nothing, so it must not
+        # read as exit 1 (rejected)
+        print(f"uftree: resource limit exceeded ({type(exc).__name__})", file=sys.stderr)
         return EXIT_CAP
     except (FormatError, InvalidTreeError) as exc:
         print(f"uftree: {exc}", file=sys.stderr)

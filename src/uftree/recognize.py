@@ -25,7 +25,8 @@ from .tree import (
     canonical_key,
     legal_pushes,
     push,
-    subtree,
+    subtree,  # not called here; perfbench's tracer wraps recognize.subtree
+    subtree_keys,
     validate,
 )
 
@@ -142,25 +143,42 @@ def _solve(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
     return tuple((order[a], order[b]) for a, b in res)
 
 
+def _refute(t: RankedTree) -> str | None:
+    """The first structural filter that proves t is not Union-Find, or None.
+
+    Meant for a valid tree that is not a Union tree.  Every Union-Find tree
+    has at least as many rank-0 nodes as positive-rank ones, has at least
+    ``2^rank`` nodes below a root of that rank, and keeps every rank below
+    the root's among the root's children, because pushes only move nodes
+    down.
+    """
+    if not count_filter(t):
+        return REASON_COUNT_FILTER
+    if t.node_count < (1 << t.root_rank):
+        return REASON_RANK_RANGE
+    root_ranks = {t.rank[c] for c in t.children_of(t.root)}
+    if any(r not in root_ranks for r in range(t.root_rank)):
+        return REASON_MISSING_RANK
+    return None
+
+
 def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
     if is_union_tree(t):
         return ()
-    if not count_filter(t):
-        st.note(REASON_COUNT_FILTER)
-        return None
-    root = t.root
-    top_rank = t.rank[root]
-    if t.node_count < (1 << top_rank):
-        st.note(REASON_RANK_RANGE)
+    reason = _refute(t)
+    if reason is not None:
+        st.note(reason)
         return None
 
-    kids = t.children_of(root)
+    # One child table serves every per-child value below; building one per
+    # child would make wide trees quadratic.
+    table = t.child_table()
+    root = t.root
+    top_rank = t.rank[root]
+    kids = table[root]
     by_rank: dict[int, list[NodeId]] = {}
     for c in kids:
         by_rank.setdefault(t.rank[c], []).append(c)
-    if any(r not in by_rank for r in range(top_rank)):
-        st.note(REASON_MISSING_RANK)
-        return None
 
     # Split the depth-one children into isomorphism classes and sort the
     # classes into needy (their standalone subtree is not a Union tree, so
@@ -170,15 +188,22 @@ def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
     # to fill a concrete hole; free children are therefore pulled on demand
     # instead of being enumerated, which keeps wide collapse-heavy trees
     # tractable.
-    desc = {c: t.descendants(c) for c in kids}
+    desc: dict[NodeId, list[NodeId]] = {}
+    for c in kids:
+        nodes = [c]
+        for y in nodes:  # breadth-first: the list grows while it is walked
+            nodes.extend(table[y])
+        desc[c] = sorted(nodes)
+    keys = subtree_keys(t, table)
     needy: list[_Class] = []
     free: list[_Class] = []
     for r in sorted(by_rank, reverse=True):
         groups: dict[bytes, list[NodeId]] = {}
         for c in sorted(by_rank[r]):
-            groups.setdefault(canonical_key(subtree(t, c)[0]), []).append(c)
+            groups.setdefault(keys[c], []).append(c)
         for key in sorted(groups):
-            cls = _Class.build(t, r, key, groups[key])
+            sub, _ = _extract_enriched(t, desc, groups[key][0], [])
+            cls = _Class.build(sub, r, key, groups[key])
             (free if cls.union else needy).append(cls)
 
     free_per_rank = [0] * top_rank
@@ -186,7 +211,7 @@ def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
         free_per_rank[cls.rank] += len(cls.members)
 
     cls_of = {y: cls for cls in needy + free for y in cls.members}
-    child_ranks = {c: {t.rank[g] for g in t.children_of(c)} for c in kids}
+    child_ranks = {c: {t.rank[g] for g in table[c]} for c in kids}
     ctx = _Context(t, st, top_rank, needy, free, free_per_rank, desc, cls_of, child_ranks)
     return _choose_kept(ctx, 0, [0] * top_rank, [], [])
 
@@ -203,8 +228,8 @@ class _Class:
     positives: int
 
     @staticmethod
-    def build(t: RankedTree, rank: int, key: bytes, members: list[NodeId]) -> "_Class":
-        sub, _ = subtree(t, members[0])
+    def build(sub: RankedTree, rank: int, key: bytes, members: list[NodeId]) -> "_Class":
+        """Stats of a class from ``sub``, the subtree of any one member."""
         zeros = sum(1 for r in sub.rank if r == 0)
         return _Class(
             rank=rank,
@@ -278,11 +303,14 @@ def _choose_kept(
 
 
 def _extract_enriched(
-    ctx: _Context, x: NodeId, grafted: list[NodeId]
+    t: RankedTree, desc: dict[NodeId, list[NodeId]], x: NodeId, grafted: list[NodeId]
 ) -> tuple[RankedTree, list[NodeId]]:
-    """Subtree of x with each grafted sibling subtree attached below x."""
-    t = ctx.tree
-    ids = sorted(itertools.chain(ctx.desc[x], *(ctx.desc[y] for y in grafted)))
+    """Subtree of x with each grafted sibling subtree attached below x.
+
+    ``desc`` holds the descendants of every depth-one child.  With no
+    grafts this is ``subtree(t, x)``, ids ascending in the same way.
+    """
+    ids = sorted(itertools.chain(desc[x], *(desc[y] for y in grafted)))
     to_new = {old: new for new, old in enumerate(ids)}
     roots = set(grafted)
     parent = tuple(
@@ -480,7 +508,7 @@ def _iter_pulls(
         return pulls
 
     def decide(vec: tuple[int, ...]):
-        enriched, ids = _extract_enriched(ctx, x, grafted + members_for(vec))
+        enriched, ids = _extract_enriched(ctx.tree, ctx.desc, x, grafted + members_for(vec))
         return _solve(enriched, st), ids
 
     space = 1
@@ -578,13 +606,9 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     validate(t).raise_if_invalid()
     if is_union_tree(t):
         return Verdict(True, REASON_UNION_TREE)
-    if not count_filter(t):
-        return Verdict(False, REASON_COUNT_FILTER)
-    if t.node_count < (1 << t.root_rank):
-        return Verdict(False, REASON_RANK_RANGE)
-    child_ranks = {t.rank[c] for c in t.children_of(t.root)}
-    if any(r not in child_ranks for r in range(t.root_rank)):
-        return Verdict(False, REASON_MISSING_RANK)
+    reason = _refute(t)
+    if reason is not None:
+        return Verdict(False, reason)
 
     st = _Search(budget)
     try:
@@ -659,6 +683,9 @@ def parse_certificate(text: str) -> Certificate:
         raise FormatError(f"header must be a step count, got {lines[0]!r}", 1) from None
     if count < 0 or len(lines) < count + 1:
         raise FormatError(f"expected {count} push lines", len(lines) + 1)
+    for i in range(count + 1, len(lines)):
+        if lines[i].strip():
+            raise FormatError(f"trailing content after {count} push lines", i + 1)
     steps = []
     for i in range(count):
         fields = lines[1 + i].split()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, InvalidTreeError
+from .errors import CapExceeded, FormatError, InvalidTreeError
 
 NodeId = int
 
@@ -285,10 +285,14 @@ def subtree(t: RankedTree, x: NodeId) -> tuple[RankedTree, tuple[int, ...]]:
     return RankedTree(parent, rank), tuple(ids)
 
 
-def _encodings(t: RankedTree) -> list[bytes]:
-    # Bottom-up structural encoding: equal bytes iff subtrees are isomorphic
-    # as unordered rank-labeled rooted trees.
-    table = t.child_table()
+def subtree_keys(t: RankedTree, table: list[list[NodeId]]) -> list[bytes]:
+    """Canonical key of the subtree below every node, given t's child table.
+
+    ``subtree_keys(t, t.child_table())[x] == canonical_key(subtree(t, x)[0])``:
+    the bottom-up encoding of a node depends only on the subtree below it.
+    Equal bytes iff the subtrees are isomorphic as unordered rank-labeled
+    rooted trees.
+    """
     depth = t.depths()
     enc: list[bytes] = [b""] * t.node_count
     for x in sorted(range(t.node_count), key=depth.__getitem__, reverse=True):
@@ -304,7 +308,7 @@ def canonical_key(t: RankedTree) -> bytes:
     trees with rank labels.  Intended for memoization and deduplication at
     desk scale; the encoding grows quadratically on path-like trees.
     """
-    return _encodings(t)[t.root]
+    return subtree_keys(t, t.child_table())[t.root]
 
 
 def canonical_form(t: RankedTree) -> tuple[RankedTree, tuple[int, ...]]:
@@ -313,8 +317,8 @@ def canonical_form(t: RankedTree) -> tuple[RankedTree, tuple[int, ...]]:
     Isomorphic trees map to the identical canonical tree.  Returns the
     canonical tree and the id map ``order[canonical] = original``.
     """
-    enc = _encodings(t)
     table = t.child_table()
+    enc = subtree_keys(t, table)
     order: list[int] = []
     stack = [t.root]
     while stack:
@@ -340,12 +344,16 @@ def serialize_tree(t: RankedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tree_with_map(text: str) -> tuple[RankedTree, dict[int, int]]:
+def parse_tree_with_map(
+    text: str, max_nodes: int | None = None
+) -> tuple[RankedTree, dict[int, int]]:
     """Parse the tree text format, re-densifying arbitrary node ids.
 
     Returns the tree plus the mapping from original ids to dense ids.
     Syntax problems raise :class:`FormatError` with a line number; trees
     that parse but violate the invariants raise :class:`InvalidTreeError`.
+    A header count above ``max_nodes`` raises :class:`CapExceeded` before
+    any node line is read.
     """
     lines = text.splitlines()
     pos = 0
@@ -360,6 +368,8 @@ def parse_tree_with_map(text: str) -> tuple[RankedTree, dict[int, int]]:
         raise FormatError(f"header must be a node count, got {header!r}", pos + 1) from None
     if n < 1:
         raise FormatError(f"node count must be positive, got {n}", pos + 1)
+    if max_nodes is not None and n > max_nodes:
+        raise CapExceeded(f"tree has {n} nodes, cap is {max_nodes}")
     body = lines[pos + 1 :]
     if len(body) < n:
         raise FormatError(f"expected {n} node lines, found {len(body)}", len(lines) + 1)
@@ -396,8 +406,8 @@ def parse_tree_with_map(text: str) -> tuple[RankedTree, dict[int, int]]:
     return tree, id_map
 
 
-def parse_tree(text: str) -> RankedTree:
-    return parse_tree_with_map(text)[0]
+def parse_tree(text: str, max_nodes: int | None = None) -> RankedTree:
+    return parse_tree_with_map(text, max_nodes)[0]
 
 
 def export_dot(t: RankedTree) -> str:

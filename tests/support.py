@@ -26,6 +26,17 @@ def star(root_rank: int, *leaf_ranks: int) -> RankedTree:
     return RankedTree(parent, (root_rank, *leaf_ranks))
 
 
+def wide_tree(k: int) -> RankedTree:
+    """Rank-3 root over 30 leaves, k rank-1 children each over a leaf, and
+    one rank-2 child over a leaf: 2k + 33 nodes, Union-Find by one push."""
+    parent = [-1] + [0] * 30
+    for _ in range(k):
+        parent += [0, len(parent)]
+    parent += [0, len(parent)]
+    rank = [3] + [0] * 30 + [1, 0] * k + [2, 0]
+    return RankedTree(tuple(parent), tuple(rank))
+
+
 def union_trees_upto(max_nodes: int) -> dict[int, set[bytes]]:
     """Canonical keys of every Union tree with at most max_nodes nodes.
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from support import wide_tree
 from uftree.cli import main
 from uftree.recognize import check_certificate, parse_certificate
 from uftree.reduction import make_flat_tree, parse_instance
@@ -62,6 +63,14 @@ class TestCheck:
     def test_budget_exhaustion_exit(self, flat_tree_file):
         path, _ = flat_tree_file
         assert main(["check", path, "--budget", "1"]) == 3
+
+    def test_recursion_limit_is_not_a_rejection(self, tmp_path, capsys):
+        # the target placement recurses once per depth-one target, so 1,200
+        # rank-1 children exhaust the default stack
+        path = write_tree(tmp_path, wide_tree(1200))
+        assert main(["check", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("uftree: ") and err.count("\n") == 1
 
 
 class TestReductionCommands:
@@ -151,14 +160,6 @@ class TestOracleAndDot:
         path = write_tree(tmp_path, singleton())
         assert main(["dot", path]) == 0
         assert '"0:0"' in capsys.readouterr().out
-
-
-class TestBench:
-    def test_bench_runs(self, capsys):
-        assert main(["bench", "-n", "64", "--ops", "200", "--seed", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "replay_us_per_op=" in out
-        assert "verdict=" in out
 
 
 class TestUsage:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from support import chain, merge_constructible, ranked_trees, star, union_trees_upto
+from support import chain, merge_constructible, ranked_trees, star, union_trees_upto, wide_tree
 from uftree.errors import CapExceeded
 from uftree.forest import enumerate_trees, random_uf_tree
 from uftree.recognize import (
@@ -133,6 +133,23 @@ class TestRecognizer:
         assert verdict.reason == REASON_CERTIFICATE
         assert check_certificate(squashed, verdict.certificate)
 
+    def test_one_child_table_per_search_node(self, monkeypatch):
+        # a table per depth-one child would cost about three per child,
+        # some 2,800 calls on this 1,833-node tree
+        calls = []
+        original = RankedTree.child_table
+
+        def counted(self):
+            calls.append(self.node_count)
+            return original(self)
+
+        monkeypatch.setattr(RankedTree, "child_table", counted)
+        t = wide_tree(900)
+        verdict = is_union_find_tree(t)
+        assert len(calls) <= 20
+        assert verdict.reason == REASON_CERTIFICATE
+        assert check_certificate(t, verdict.certificate)
+
     def test_rejects_invalid_tree(self):
         with pytest.raises(ValueError):
             is_union_find_tree(RankedTree((-1, 0), (1, 1)))
@@ -218,3 +235,11 @@ class TestCertificates:
             parse_certificate("1\nshove 1 2\n")
         with pytest.raises(FormatError):
             parse_certificate("2\npush 1 2\n")
+
+    def test_trailing_lines_rejected(self):
+        from uftree.errors import FormatError
+
+        assert parse_certificate("1\npush 1 2\n\n") == Certificate(((1, 2),))
+        with pytest.raises(FormatError) as err:
+            parse_certificate("1\npush 1 2\n\npush 3 4\n")
+        assert err.value.line == 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from support import S_TREE, T_TREE, X_NODE, Y_NODE_MERGED, Z_NODE, chain, ranked_trees, star
-from uftree.errors import FormatError, InvalidTreeError
+from uftree.errors import CapExceeded, FormatError, InvalidTreeError
 from uftree.tree import (
     RankedTree,
     canonical_form,
@@ -22,6 +22,7 @@ from uftree.tree import (
     serialize_tree,
     singleton,
     subtree,
+    subtree_keys,
     validate,
 )
 
@@ -293,6 +294,12 @@ class TestCanonical:
         again, _ = canonical_form(canon)
         assert again == canon
 
+    @given(ranked_trees(max_nodes=7))
+    @settings(max_examples=60)
+    def test_subtree_keys_match_extracted_subtrees(self, t):
+        keys = subtree_keys(t, t.child_table())
+        assert keys == [canonical_key(subtree(t, x)[0]) for x in range(t.node_count)]
+
 
 class TestTextFormat:
     def test_serialize_singleton(self):
@@ -329,6 +336,11 @@ class TestTextFormat:
     def test_syntax_errors(self, text, fragment):
         with pytest.raises(FormatError, match=fragment):
             parse_tree(text)
+
+    def test_node_cap_fires_from_header(self):
+        with pytest.raises(CapExceeded):
+            parse_tree("5\ngarbage\n", max_nodes=3)
+        assert parse_tree(serialize_tree(S_TREE), max_nodes=9) == S_TREE
 
     def test_error_carries_line_number(self):
         with pytest.raises(FormatError) as err:
