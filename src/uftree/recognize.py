@@ -24,6 +24,7 @@ from .tree import (
     canonical_form,
     canonical_key,
     legal_pushes,
+    node_key,
     push,
     subtree,  # not called here; perfbench's tracer wraps recognize.subtree
     subtree_keys,
@@ -35,6 +36,7 @@ REASON_CERTIFICATE = "certificate"
 REASON_COUNT_FILTER = "filter-prop4"
 REASON_RANK_RANGE = "filter-rank-range"
 REASON_MISSING_RANK = "filter-missing-rank"
+REASON_SEARCH = "search-refuted"
 REASON_BUDGET = "search-exhausted"
 
 ORACLE_NODE_CAP = 10
@@ -60,10 +62,11 @@ class Verdict:
 
     ``accepted`` iff ``reason`` is ``union-tree`` or ``certificate``; a
     certificate is attached exactly when the reason is ``certificate``.
-    Rejections name the first structural filter that failed during the
-    search.  ``search-exhausted`` only occurs when the caller set a budget
-    and it ran out before the search completed; it is inconclusive, not a
-    proof of rejection.
+    A rejection names the structural filter that refuted the whole tree,
+    or is ``search-refuted`` when the tree passes every filter and the
+    exhaustive search finds no push sequence.  ``search-exhausted`` only
+    occurs when the caller set a budget and it ran out before the search
+    completed; it is inconclusive, not a proof of rejection.
     """
 
     accepted: bool
@@ -107,40 +110,18 @@ class _BudgetExhausted(Exception):
 class _Search:
     """Shared state of one recognition run."""
 
-    __slots__ = ("memo", "budget", "first_filter")
+    __slots__ = ("memo", "budget")
 
     def __init__(self, budget: int | None):
-        # canonical tree -> push steps in canonical ids, or None if not UF
-        self.memo: dict[RankedTree, tuple[tuple[int, int], ...] | None] = {}
+        # canonical key -> push steps in canonical-tree ids, or None if not UF
+        self.memo: dict[bytes, tuple[tuple[int, int], ...] | None] = {}
         self.budget = budget
-        self.first_filter: str | None = None
 
     def tick(self) -> None:
         if self.budget is not None:
             self.budget -= 1
             if self.budget < 0:
                 raise _BudgetExhausted
-
-    def note(self, reason: str) -> None:
-        if self.first_filter is None:
-            self.first_filter = reason
-
-
-def _solve(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
-    """Decide one (sub)tree, memoized by canonical form.
-
-    Returns push steps in t's id space, or None when t is not Union-Find.
-    """
-    st.tick()
-    canon, order = canonical_form(t)
-    if canon in st.memo:
-        res = st.memo[canon]
-    else:
-        res = _search(canon, st)
-        st.memo[canon] = res
-    if res is None:
-        return None
-    return tuple((order[a], order[b]) for a, b in res)
 
 
 def _refute(t: RankedTree) -> str | None:
@@ -163,11 +144,10 @@ def _refute(t: RankedTree) -> str | None:
 
 
 def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
+    """Push steps that turn the canonical tree t into a Union tree, or None."""
     if is_union_tree(t):
         return ()
-    reason = _refute(t)
-    if reason is not None:
-        st.note(reason)
+    if _refute(t) is not None:
         return None
 
     # One child table serves every per-child value below; building one per
@@ -202,43 +182,38 @@ def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
         for c in sorted(by_rank[r]):
             groups.setdefault(keys[c], []).append(c)
         for key in sorted(groups):
-            sub, _ = _extract_enriched(t, desc, groups[key][0], [])
-            cls = _Class.build(sub, r, key, groups[key])
-            (free if cls.union else needy).append(cls)
+            members = groups[key]
+            sub, _ = _extract_enriched(t, desc, members[0], [])
+            own = table[members[0]]
+            zeros = sub.rank.count(0)
+            cls = _Class(
+                rank=r,
+                members=members,
+                zeros=zeros,
+                positives=sub.node_count - zeros,
+                child_keys=[keys[c] for c in own],
+                missing=sorted(set(range(r)) - {t.rank[c] for c in own}),
+            )
+            (free if is_union_tree(sub) else needy).append(cls)
 
     free_per_rank = [0] * top_rank
     for cls in free:
         free_per_rank[cls.rank] += len(cls.members)
 
-    cls_of = {y: cls for cls in needy + free for y in cls.members}
-    child_ranks = {c: {t.rank[g] for g in table[c]} for c in kids}
-    ctx = _Context(t, st, top_rank, needy, free, free_per_rank, desc, cls_of, child_ranks)
+    ctx = _Context(t, st, top_rank, needy, free, free_per_rank, desc, keys)
     return _choose_kept(ctx, 0, [0] * top_rank, [], [])
 
 
 @dataclass
 class _Class:
-    """One isomorphism class of depth-one children, with per-member stats."""
+    """One isomorphism class of depth-one children: what all members share."""
 
     rank: int
-    key: bytes
     members: list[NodeId]
-    union: bool
-    zeros: int
-    positives: int
-
-    @staticmethod
-    def build(sub: RankedTree, rank: int, key: bytes, members: list[NodeId]) -> "_Class":
-        """Stats of a class from ``sub``, the subtree of any one member."""
-        zeros = sum(1 for r in sub.rank if r == 0)
-        return _Class(
-            rank=rank,
-            key=key,
-            members=members,
-            union=is_union_tree(sub),
-            zeros=zeros,
-            positives=sub.node_count - zeros,
-        )
+    zeros: int  # rank-0 nodes in a member's subtree
+    positives: int  # positive-rank nodes in a member's subtree
+    child_keys: list[bytes]  # keys of a member's own children
+    missing: list[int]  # ranks below the members' rank absent among those
 
 
 @dataclass
@@ -250,15 +225,18 @@ class _Context:
     free: list[_Class]
     free_per_rank: list[int]
     desc: dict[NodeId, list[NodeId]]  # descendants per depth-one child
-    cls_of: dict[NodeId, "_Class"]
-    child_ranks: dict[NodeId, set[int]]  # ranks of each child's own children
+    keys: list[bytes]  # canonical key of the subtree below every node
+
+    def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
+        """Canonical key of a member of cls with the grafted subtrees below it."""
+        return node_key(cls.rank, cls.child_keys + [self.keys[y] for y in grafted])
 
 
 def _choose_kept(
     ctx: _Context,
     i: int,
     kept_per_rank: list[int],
-    kept: list[NodeId],
+    kept: list[tuple[_Class, int]],
     pushed: list[tuple[_Class, list[NodeId]]],
 ) -> tuple[tuple[int, int], ...] | None:
     """Decide, class by class in decreasing rank, which needy children stay.
@@ -289,13 +267,13 @@ def _choose_kept(
 
     for k in range(len(members), min_keep - 1, -1):
         kept_per_rank[rank] += k
-        kept.extend(members[:k])
+        kept.append((cls, k))
         if k < len(members):
             pushed.append((cls, members[k:]))
         result = _choose_kept(ctx, i + 1, kept_per_rank, kept, pushed)
         if k < len(members):
             pushed.pop()
-        del kept[len(kept) - k :]
+        kept.pop()
         kept_per_rank[rank] -= k
         if result is not None:
             return result
@@ -325,7 +303,7 @@ def _extract_enriched(
 
 def _assign_targets(
     ctx: _Context,
-    kept_needy: list[NodeId],
+    kept: list[tuple[_Class, int]],
     pushed: list[tuple[_Class, list[NodeId]]],
     kept_per_rank: list[int],
 ) -> tuple[tuple[int, int], ...] | None:
@@ -345,10 +323,9 @@ def _assign_targets(
     # rank r can only receive it from a pushed needy child or a pulled free
     # child of that exact rank, because internal pushes never move nodes up.
     demand = [0] * ctx.top_rank
-    for x in kept_needy:
-        for r in range(t.rank[x]):
-            if r not in ctx.child_ranks[x]:
-                demand[r] += 1
+    for cls, k in kept:
+        for r in cls.missing:
+            demand[r] += k
     pushed_per_rank = [0] * ctx.top_rank
     for cls, members in pushed:
         pushed_per_rank[cls.rank] += len(members)
@@ -362,39 +339,42 @@ def _assign_targets(
     slack = [
         kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)
     ]
-    free_index = {y: ci for ci, cls in enumerate(ctx.free) for y in cls.members}
 
-    targets: list[NodeId] = list(kept_needy)
-    targets.extend(y for cls in ctx.free if cls.rank > 0 for y in cls.members)
-    targets.sort(key=lambda x: (-t.rank[x], x))
+    # a target is (node, its class, the free class index or -1, its position
+    # in the class); pulls take free members from the end of their class
+    targets = [(x, cls, -1, 0) for cls, k in kept for x in cls.members[:k]]
+    for ci, cls in enumerate(ctx.free):
+        if cls.rank > 0:
+            targets.extend((x, cls, ci, pos) for pos, x in enumerate(cls.members))
+    targets.sort(key=lambda target: (-target[1].rank, target[0]))
 
     remaining = [len(members) for _, members in pushed]
     # suffix_best[i] = highest target rank at or after position i
     suffix_best = [0] * (len(targets) + 1)
     for i in range(len(targets) - 1, -1, -1):
-        suffix_best[i] = max(suffix_best[i + 1], t.rank[targets[i]])
+        suffix_best[i] = max(suffix_best[i + 1], targets[i][1].rank)
     if any(suffix_best[0] <= cls.rank for cls, _ in pushed):
         return None
 
-    plan: list[tuple[NodeId, list[NodeId], tuple[tuple[int, int], ...], list[NodeId]]] = []
-
-    def is_pulled(x: NodeId) -> bool:
-        ci = free_index.get(x)
-        if ci is None:
-            return False
-        members = ctx.free[ci].members
-        return members.index(x) >= len(members) - pulled[ci]
+    plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
     def place(ti: int) -> bool:
+        # Free targets that are pulled, or that have nothing left to
+        # receive, stay as they are; a loop steps over them so that wide
+        # trees do not take one stack frame per child.
+        while ti < len(targets):
+            x, cls, ci, pos = targets[ti]
+            eligible = [j for j in range(len(pushed)) if pushed[j][0].rank < cls.rank]
+            if ci < 0:
+                break
+            if pos < len(cls.members) - pulled[ci]:
+                if any(remaining[j] for j in eligible):
+                    break
+                ctx.st.tick()  # an untouched free child is already a Union tree
+            ti += 1
         if ti == len(targets):
             return not any(remaining)
-        x = targets[ti]
-        if is_pulled(x):
-            return place(ti + 1)
-        x_is_free = x in free_index
-        x_rank = t.rank[x]
 
-        eligible = [j for j in range(len(pushed)) if pushed[j][0].rank < x_rank]
         split_ranges = []
         for j in eligible:
             must_take_all = suffix_best[ti + 1] <= pushed[j][0].rank
@@ -402,7 +382,7 @@ def _assign_targets(
             split_ranges.append(range(low, remaining[j] + 1))
         for counts in itertools.product(*split_ranges):
             ctx.st.tick()
-            if x_is_free and not any(counts):
+            if ci >= 0 and not any(counts):
                 # an untouched free child is already a Union tree
                 if place(ti + 1):
                     return True
@@ -410,25 +390,17 @@ def _assign_targets(
             grafted: list[NodeId] = []
             stats = [0, 0]  # rank-0 and positive-rank node counts of the grafts
             for j, take in zip(eligible, counts):
-                cls, members = pushed[j]
+                source, members = pushed[j]
                 used = len(members) - remaining[j]
                 grafted.extend(members[used : used + take])
                 remaining[j] -= take
-                stats[0] += take * cls.zeros
-                stats[1] += take * cls.positives
-            for pulls, inner, ids in _iter_pulls(ctx, pulled, slack, x, grafted, stats):
-                for y in pulls:
-                    ci = free_index[y]
-                    pulled[ci] += 1
-                    slack[ctx.free[ci].rank] -= 1
-                plan.append((x, grafted + pulls, inner, ids))
+                stats[0] += take * source.zeros
+                stats[1] += take * source.positives
+            for pulls in _iter_pulls(ctx, pulled, slack, x, cls, grafted, stats):
+                plan.append((x, cls, grafted + pulls))
                 if place(ti + 1):
                     return True
                 plan.pop()
-                for y in pulls:
-                    ci = free_index[y]
-                    pulled[ci] -= 1
-                    slack[ctx.free[ci].rank] += 1
             for j, take in zip(eligible, counts):
                 remaining[j] += take
         return False
@@ -436,12 +408,30 @@ def _assign_targets(
     if not place(0):
         return None
 
-    level_one = [(y, x) for x, grafted, _, _ in plan for y in grafted]
+    level_one = [(y, x) for x, _, grafted in plan for y in grafted]
     level_one.sort(key=lambda step: (-t.rank[step[0]], step[0]))
     steps: list[tuple[int, int]] = list(level_one)
-    for _, _, inner, ids in plan:
-        steps.extend((ids[a], ids[b]) for a, b in inner)
+    for x, cls, grafted in plan:
+        inner = ctx.st.memo[ctx.key(cls, grafted)]
+        if inner:
+            sub, ids = _extract_enriched(t, ctx.desc, x, grafted)
+            order = canonical_form(sub)[1]
+            steps.extend((ids[order[a]], ids[order[b]]) for a, b in inner)
     return tuple(steps)
+
+
+def _decide(ctx: _Context, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
+    """Whether x, a member of cls, with the grafted subtrees below it is UF.
+
+    Memoized by canonical key: the subtree is materialized, canonicalized
+    and searched only the first time its key is seen.
+    """
+    ctx.st.tick()
+    key = ctx.key(cls, grafted)
+    if key not in ctx.st.memo:
+        sub, _ = _extract_enriched(ctx.tree, ctx.desc, x, grafted)
+        ctx.st.memo[key] = _search(canonical_form(sub)[0], ctx.st)
+    return ctx.st.memo[key] is not None
 
 
 def _iter_pulls(
@@ -449,6 +439,7 @@ def _iter_pulls(
     pulled: list[int],
     slack: list[int],
     x: NodeId,
+    x_cls: _Class,
     grafted: list[NodeId],
     graft_stats: list[int],
 ):
@@ -462,14 +453,13 @@ def _iter_pulls(
     could have left the surplus at the root instead.  Vectors that cannot
     possibly fix the subtree (missing positive ranks, rank-0 deficit) or
     that would hollow out the root's rank coverage are skipped without a
-    search.
+    search.  A yielded pull stays booked in ``pulled`` and ``slack`` until
+    the consumer asks for the next one.
     """
     t, st = ctx.tree, ctx.st
-    x_rank = t.rank[x]
-    own_ranks = ctx.child_ranks[x]
-    base_ranks = own_ranks | {t.rank[y] for y in grafted}
-
-    x_cls = ctx.cls_of[x]
+    x_rank = x_cls.rank
+    graft_ranks = {t.rank[y] for y in grafted}
+    required = [r for r in x_cls.missing if r not in graft_ranks]
     zeros = x_cls.zeros + graft_stats[0]
     positives = x_cls.positives + graft_stats[1]
 
@@ -478,7 +468,6 @@ def _iter_pulls(
         for ci, cls in enumerate(ctx.free)
         if cls.rank < x_rank and len(cls.members) - pulled[ci] > 0
     ]
-    required = [r for r in range(x_rank) if r not in base_ranks]
     pool_ranks = {ctx.free[ci].rank for ci in pool}
     if any(r not in pool_ranks for r in required):
         return
@@ -507,17 +496,12 @@ def _iter_pulls(
                 pulls.extend(members[end - v : end])
         return pulls
 
-    def decide(vec: tuple[int, ...]):
-        enriched, ids = _extract_enriched(ctx.tree, ctx.desc, x, grafted + members_for(vec))
-        return _solve(enriched, st), ids
-
     space = 1
     for limit in limits:
         space *= limit + 1
     if space > 16:
         # the full pull decides the whole branch in one memoized search
-        best, _ = decide(tuple(limits))
-        if best is None:
+        if not _decide(ctx, x, x_cls, grafted + members_for(tuple(limits))):
             return
 
     minima: list[tuple[int, ...]] = []
@@ -526,8 +510,8 @@ def _iter_pulls(
         vec_ranks = {ctx.free[ci].rank for ci, v in zip(pool, vec) if v}
         if any(r not in vec_ranks for r in required):
             continue
-        inner, ids = decide(vec)
-        if inner is None:
+        pulls = members_for(vec)
+        if not _decide(ctx, x, x_cls, grafted + pulls):
             continue
         minima.append(vec)
         rank_loss: dict[int, int] = {}
@@ -535,7 +519,13 @@ def _iter_pulls(
             if v:
                 rank_loss[ctx.free[ci].rank] = rank_loss.get(ctx.free[ci].rank, 0) + v
         if all(loss <= slack[r] for r, loss in rank_loss.items()):
-            yield members_for(vec), inner, ids
+            for ci, v in zip(pool, vec):
+                pulled[ci] += v
+                slack[ctx.free[ci].rank] -= v
+            yield pulls
+            for ci, v in zip(pool, vec):
+                pulled[ci] -= v
+                slack[ctx.free[ci].rank] += v
 
 
 def _minimal_candidates(
@@ -596,7 +586,7 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     push every other child below a strictly higher-ranked survivor, and
     recursively decide each enriched subtree.  Candidate subtrees are
     pre-filtered by the rank-0 count condition and the ``2^rank`` size
-    bound, and memoized by canonical form.
+    bound, and memoized by canonical key.
 
     ``budget`` caps the search effort, counted in subtree decisions and
     candidate probes; when it runs out the verdict is the inconclusive
@@ -611,12 +601,15 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
         return Verdict(False, reason)
 
     st = _Search(budget)
+    canon, order = canonical_form(t)
     try:
-        steps = _solve(t, st)
+        st.tick()
+        steps = _search(canon, st)
     except _BudgetExhausted:
         return Verdict(False, REASON_BUDGET)
     if steps is None:
-        return Verdict(False, st.first_filter or REASON_MISSING_RANK)
+        return Verdict(False, REASON_SEARCH)
+    steps = tuple((order[a], order[b]) for a, b in steps)
     return Verdict(True, REASON_CERTIFICATE, Certificate(steps))
 
 

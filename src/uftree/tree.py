@@ -296,9 +296,13 @@ def subtree_keys(t: RankedTree, table: list[list[NodeId]]) -> list[bytes]:
     depth = t.depths()
     enc: list[bytes] = [b""] * t.node_count
     for x in sorted(range(t.node_count), key=depth.__getitem__, reverse=True):
-        parts = sorted(enc[c] for c in table[x])
-        enc[x] = b"%d(%s)" % (t.rank[x], b"".join(parts))
+        enc[x] = node_key(t.rank[x], [enc[c] for c in table[x]])
     return enc
+
+
+def node_key(rank: int, child_keys: list[bytes]) -> bytes:
+    """Canonical key of a rank-``rank`` node over subtrees with these keys."""
+    return b"%d(%s)" % (rank, b"".join(sorted(child_keys)))
 
 
 def canonical_key(t: RankedTree) -> bytes:

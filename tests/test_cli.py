@@ -64,10 +64,23 @@ class TestCheck:
         path, _ = flat_tree_file
         assert main(["check", path, "--budget", "1"]) == 3
 
-    def test_recursion_limit_is_not_a_rejection(self, tmp_path, capsys):
-        # the target placement recurses once per depth-one target, so 1,200
-        # rank-1 children exhaust the default stack
-        path = write_tree(tmp_path, wide_tree(1200))
+    @pytest.mark.parametrize("k", [1200, 49_980])
+    def test_wide_trees_accepted_up_to_the_parse_cap(self, tmp_path, capsys, k):
+        # a stack frame per rank-1 child would overflow at k=1200; k=49,980
+        # gives 99,993 nodes, just under the default cap
+        t = wide_tree(k)
+        assert main(["check", write_tree(tmp_path, t), "--emit-certificate"]) == 0
+        cert = parse_certificate(capsys.readouterr().out)
+        assert len(cert) == 1 and check_certificate(t, cert)
+
+    def test_recursion_limit_is_not_a_rejection(self, flat_tree_file, capsys, monkeypatch):
+        from uftree import recognize
+
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(recognize, "is_union_find_tree", overflow)
+        path, _ = flat_tree_file
         assert main(["check", path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("uftree: ") and err.count("\n") == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from support import chain, merge_constructible, ranked_trees, star, union_trees_upto, wide_tree
+from uftree import recognize
 from uftree.errors import CapExceeded
 from uftree.forest import enumerate_trees, random_uf_tree
 from uftree.recognize import (
@@ -12,8 +13,10 @@ from uftree.recognize import (
     REASON_COUNT_FILTER,
     REASON_MISSING_RANK,
     REASON_RANK_RANGE,
+    REASON_SEARCH,
     REASON_UNION_TREE,
     Certificate,
+    _extract_enriched,
     brute_force_is_uf,
     check_certificate,
     count_filter,
@@ -23,8 +26,16 @@ from uftree.recognize import (
     parse_certificate,
     satisfies_union_condition,
 )
-from uftree.reduction import make_apple, make_basket
-from uftree.tree import RankedTree, collapse, merge, singleton
+from uftree.reduction import make_apple, make_basket, make_flat_tree, parse_instance
+from uftree.tree import (
+    RankedTree,
+    canonical_key,
+    collapse,
+    merge,
+    node_key,
+    singleton,
+    subtree_keys,
+)
 
 
 class TestUnionCondition:
@@ -149,6 +160,48 @@ class TestRecognizer:
         assert len(calls) <= 20
         assert verdict.reason == REASON_CERTIFICATE
         assert check_certificate(t, verdict.certificate)
+
+    @pytest.mark.parametrize(
+        "build, ticks",
+        [
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 1281),
+            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 160),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 474),
+            (lambda: random_uf_tree(60, 0), 67),
+            (lambda: random_uf_tree(100, 0), 89),
+        ],
+        ids=["flat-12344", "flat-114", "flat-33222", "uf60", "uf100"],
+    )
+    def test_search_effort_is_pinned(self, build, ticks):
+        # the smallest deciding budget: a change here changes the search itself
+        t = build()
+        assert is_union_find_tree(t, budget=ticks).reason != REASON_BUDGET
+        assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+
+    def test_search_rejection_names_the_search(self):
+        # the root passes every filter; a filter that fired in some abandoned
+        # sub-branch explains nothing about the whole tree
+        verdict = is_union_find_tree(make_flat_tree(parse_instance("1,1,4;2")).tree)
+        assert not verdict.accepted
+        assert verdict.reason == REASON_SEARCH
+
+    def test_candidate_key_is_the_canonical_key_of_the_enriched_subtree(self):
+        flat = make_flat_tree(parse_instance("1,2,3,4,4;2"))
+        t, basket, apples = flat.tree, flat.basket_roots[0], list(flat.apple_roots[:2])
+        table = t.child_table()
+        keys = subtree_keys(t, table)
+        desc = {x: t.descendants(x) for x in [basket, *apples]}
+        enriched, _ = _extract_enriched(t, desc, basket, apples)
+        child_keys = [keys[c] for c in table[basket]] + [keys[a] for a in apples]
+        assert node_key(t.rank[basket], child_keys) == canonical_key(enriched)
+
+    def test_memo_hits_skip_canonicalization(self, monkeypatch):
+        # canonicalizing every candidate before the memo lookup would take 321
+        calls = []
+        original = recognize.canonical_form
+        monkeypatch.setattr(recognize, "canonical_form", lambda t: calls.append(t) or original(t))
+        assert is_union_find_tree(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree).accepted
+        assert len(calls) <= 120
 
     def test_rejects_invalid_tree(self):
         with pytest.raises(ValueError):
