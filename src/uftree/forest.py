@@ -96,9 +96,6 @@ class Forest:
             if self.rank[ra] == self.rank[rb]:
                 self.rank[ra] += 1
 
-    def roots(self) -> list[int]:
-        return [x for x in range(self.element_count) if self.parent[x] == x]
-
 
 def replay(log: list) -> Forest:
     """Apply an op log to a fresh forest; the log must start with a MakeSet."""

@@ -353,8 +353,6 @@ def _assign_targets(
     suffix_best = [0] * (len(targets) + 1)
     for i in range(len(targets) - 1, -1, -1):
         suffix_best[i] = max(suffix_best[i + 1], targets[i][1].rank)
-    if any(suffix_best[0] <= cls.rank for cls, _ in pushed):
-        return None
 
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
@@ -446,15 +444,14 @@ def _iter_pulls(
     """Yield the minimal successful free pulls for x enriched with the grafts.
 
     Success is monotone: extra free children at the subtree's root never
-    hurt, so the all-available pull is probed first and a failure discards
-    the branch with a single (memoized) decision.  Otherwise pull vectors
-    are tried in ascending total; anything componentwise above an earlier
-    success is skipped, because a witness pulling more than a minimal fix
-    could have left the surplus at the root instead.  Vectors that cannot
-    possibly fix the subtree (missing positive ranks, rank-0 deficit) or
-    that would hollow out the root's rank coverage are skipped without a
-    search.  A yielded pull stays booked in ``pulled`` and ``slack`` until
-    the consumer asks for the next one.
+    hurt.  Pull vectors are therefore tried in ascending total, and
+    anything componentwise above an earlier success is skipped, because a
+    witness pulling more than a minimal fix could have left the surplus at
+    the root instead.  Vectors that cannot possibly fix the subtree
+    (missing positive ranks, rank-0 deficit) or that would hollow out the
+    root's rank coverage are skipped without a search.  A yielded pull
+    stays booked in ``pulled`` and ``slack`` until the consumer asks for
+    the next one.
     """
     t, st = ctx.tree, ctx.st
     x_rank = x_cls.rank
@@ -480,29 +477,10 @@ def _iter_pulls(
         return ctx.free[ci].zeros - ctx.free[ci].positives
 
     deficit = positives - zeros
-    if deficit > sum(avail(ci) * balance(ci) for ci in pool):
-        return
     # high-surplus, wide classes first so both pruning rules bite early
     pool.sort(key=lambda ci: (-balance(ci), -avail(ci)))
     limits = [avail(ci) for ci in pool]
     balances = [balance(ci) for ci in pool]
-
-    def members_for(vec: tuple[int, ...]) -> list[NodeId]:
-        pulls: list[NodeId] = []
-        for ci, v in zip(pool, vec):
-            if v:
-                members = ctx.free[ci].members
-                end = len(members) - pulled[ci]
-                pulls.extend(members[end - v : end])
-        return pulls
-
-    space = 1
-    for limit in limits:
-        space *= limit + 1
-    if space > 16:
-        # the full pull decides the whole branch in one memoized search
-        if not _decide(ctx, x, x_cls, grafted + members_for(tuple(limits))):
-            return
 
     minima: list[tuple[int, ...]] = []
     for vec in _minimal_candidates(limits, minima, balances, deficit):
@@ -510,7 +488,12 @@ def _iter_pulls(
         vec_ranks = {ctx.free[ci].rank for ci, v in zip(pool, vec) if v}
         if any(r not in vec_ranks for r in required):
             continue
-        pulls = members_for(vec)
+        pulls: list[NodeId] = []
+        for ci, v in zip(pool, vec):
+            if v:
+                members = ctx.free[ci].members
+                end = len(members) - pulled[ci]
+                pulls.extend(members[end - v : end])
         if not _decide(ctx, x, x_cls, grafted + pulls):
             continue
         minima.append(vec)

@@ -170,9 +170,7 @@ def make_flat_tree(inst: PartitionInstance) -> FlatTree:
     )
 
 
-def solve_partition(
-    inst: PartitionInstance, max_weights: int = SOLVER_WEIGHT_CAP
-) -> PartitionSolution | None:
+def solve_partition(inst: PartitionInstance) -> PartitionSolution | None:
     """Exhaustive k-way Partition search, or None when unsolvable.
 
     Weights are placed largest first; parts with equal residual capacity are
@@ -180,8 +178,8 @@ def solve_partition(
     (next weight, sorted residual capacities).
     """
     m = len(inst.weights)
-    if m > max_weights:
-        raise CapExceeded(f"solver is capped at {max_weights} weights, got {m}")
+    if m > SOLVER_WEIGHT_CAP:
+        raise CapExceeded(f"solver is capped at {SOLVER_WEIGHT_CAP} weights, got {m}")
     order = sorted(range(m), key=lambda i: -inst.weights[i])
     residual = [inst.target] * inst.parts
     assignment = [-1] * m
@@ -245,9 +243,7 @@ class ReductionReport:
 
 
 def verify_reduction(
-    inst: PartitionInstance,
-    max_weights: int = SOLVER_WEIGHT_CAP,
-    max_nodes: int = VERIFY_NODE_CAP,
+    inst: PartitionInstance, max_nodes: int = VERIFY_NODE_CAP
 ) -> ReductionReport:
     """Run solver and recognizer on one instance and compare the verdicts.
 
@@ -258,7 +254,7 @@ def verify_reduction(
     n = flat.tree.node_count
     if n > max_nodes:
         raise CapExceeded(f"flat tree has {n} nodes, cap is {max_nodes}")
-    solution = solve_partition(inst, max_weights=max_weights)
+    solution = solve_partition(inst)
     verdict = is_union_find_tree(flat.tree)
     agree = (solution is not None) == verdict.accepted
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from support import chain, merge_constructible, ranked_trees, star, union_trees_upto, wide_tree
 from uftree import recognize
 from uftree.errors import CapExceeded
-from uftree.forest import enumerate_trees, random_uf_tree
+from uftree.forest import enumerate_trees, export_trees, random_oplog, random_uf_tree, replay
 from uftree.recognize import (
     REASON_BUDGET,
     REASON_CERTIFICATE,
@@ -36,6 +36,12 @@ from uftree.tree import (
     singleton,
     subtree_keys,
 )
+
+
+def largest_export(n, seed):
+    """The largest tree exported from a seeded op log with 3n operations."""
+    trees = [e.tree for e in export_trees(replay(random_oplog(n, 3 * n, seed)))]
+    return max(trees, key=lambda t: t.node_count)
 
 
 class TestUnionCondition:
@@ -164,13 +170,14 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 1281),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 1203),
             (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 160),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 474),
-            (lambda: random_uf_tree(60, 0), 67),
-            (lambda: random_uf_tree(100, 0), 89),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 464),
+            (lambda: random_uf_tree(60, 0), 49),
+            (lambda: random_uf_tree(100, 0), 62),
+            (lambda: random_uf_tree(200, 4), 144),
         ],
-        ids=["flat-12344", "flat-114", "flat-33222", "uf60", "uf100"],
+        ids=["flat-12344", "flat-114", "flat-33222", "uf60", "uf100", "uf200-s4"],
     )
     def test_search_effort_is_pinned(self, build, ticks):
         # the smallest deciding budget: a change here changes the search itself
@@ -202,6 +209,27 @@ class TestRecognizer:
         monkeypatch.setattr(recognize, "canonical_form", lambda t: calls.append(t) or original(t))
         assert is_union_find_tree(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree).accepted
         assert len(calls) <= 120
+
+    def test_pulls_are_decided_without_materializing_the_full_pull(self, monkeypatch):
+        # probing the all-available pull first canonicalized 11,870 nodes here
+        nodes = []
+        original = recognize.canonical_form
+        monkeypatch.setattr(
+            recognize, "canonical_form", lambda t: nodes.append(t.node_count) or original(t)
+        )
+        t = largest_export(500, 1)
+        assert t.node_count == 493
+        assert is_union_find_tree(t).accepted
+        assert sum(nodes) <= 2000
+
+    def test_engine_trees_are_never_rejected(self):
+        trees = [random_uf_tree(n, s) for n in (200, 400, 800) for s in range(4)]
+        trees += [largest_export(n, 1) for n in (500, 1000, 2000)]
+        for t in trees:
+            verdict = is_union_find_tree(t, budget=2000)
+            assert verdict.accepted or verdict.reason == REASON_BUDGET, t.node_count
+            if verdict.certificate is not None:
+                assert check_certificate(t, verdict.certificate), t.node_count
 
     def test_rejects_invalid_tree(self):
         with pytest.raises(ValueError):
