@@ -3,7 +3,8 @@
 Exit codes are the machine contract: 0 accepted/solved/agreeing, 1 rejected
 or unsolvable, 2 malformed input or usage, 3 a resource cap was exceeded.
 Data goes to stdout, diagnostics to stderr; nothing is interactive.  The
-environment variable ``UFTREE_SEED`` supplies the default seed.
+environment variable ``UFTREE_SEED`` supplies the default seed; a value
+that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ DEFAULT_COLLAPSE_PROB = 0.25
 
 
 def _default_seed() -> int:
+    value = os.environ.get("UFTREE_SEED", "0")
     try:
-        return int(os.environ.get("UFTREE_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ValueError(f"UFTREE_SEED must be an integer, got {value!r}") from None
 
 
 def _load_tree(path: str, max_nodes: int | None) -> RankedTree:
@@ -191,13 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         # read as exit 1 (rejected)
         print(f"uftree: resource limit exceeded ({type(exc).__name__})", file=sys.stderr)
         return EXIT_CAP
-    except (FormatError, InvalidTreeError) as exc:
-        print(f"uftree: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"uftree: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FormatError, InvalidTreeError, OSError, ValueError) as exc:
         print(f"uftree: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

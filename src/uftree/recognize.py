@@ -108,14 +108,39 @@ class _BudgetExhausted(Exception):
 
 
 class _Search:
-    """Shared state of one recognition run."""
+    """Shared state of one recognition run, and its one index of the input tree.
 
-    __slots__ = ("memo", "budget")
+    Every subproblem the search decides is a root rank over a list of the
+    input tree's nodes: a push slides a depth-one child below a sibling
+    and leaves every subtree below them untouched.  So one child table,
+    one set of subtree keys and one bottom-up pass of per-node facts
+    (rank-0 count, size, Union flag of the subtree below each node) serve
+    every search node.
+    """
 
-    def __init__(self, budget: int | None):
+    __slots__ = ("memo", "budget", "rank", "table", "keys", "zeros", "size", "union")
+
+    def __init__(self, t: RankedTree, budget: int | None):
         # canonical key -> push steps in canonical-tree ids, or None if not UF
         self.memo: dict[bytes, tuple[tuple[int, int], ...] | None] = {}
         self.budget = budget
+        self.rank = t.rank
+        self.table = t.child_table()
+        self.keys = subtree_keys(t, self.table)
+        n = t.node_count
+        self.zeros, self.size, self.union = [0] * n, [1] * n, [True] * n
+        # ranks strictly decrease downward, so this order is bottom-up
+        for x in sorted(range(n), key=t.rank.__getitem__):
+            _, self.zeros[x], self.size[x], self.union[x] = self.facts(
+                t.rank[x], self.table[x]
+            )
+
+    def facts(self, rank: int, kids: list[NodeId]) -> tuple[set[int], int, int, bool]:
+        """Child ranks, rank-0 count, size and Union flag of a rank over kids."""
+        ranks = {self.rank[c] for c in kids}
+        zeros = (rank == 0) + sum(self.zeros[c] for c in kids)
+        size = 1 + sum(self.size[c] for c in kids)
+        return ranks, zeros, size, len(ranks) == rank and all(self.union[c] for c in kids)
 
     def tick(self) -> None:
         if self.budget is not None:
@@ -124,41 +149,37 @@ class _Search:
                 raise _BudgetExhausted
 
 
-def _refute(t: RankedTree) -> str | None:
-    """The first structural filter that proves t is not Union-Find, or None.
+def _refute(rank: int, zeros: int, size: int, child_ranks: set[int]) -> str | None:
+    """The first structural filter that proves a tree is not Union-Find, or None.
 
-    Meant for a valid tree that is not a Union tree.  Every Union-Find tree
-    has at least as many rank-0 nodes as positive-rank ones, has at least
-    ``2^rank`` nodes below a root of that rank, and keeps every rank below
-    the root's among the root's children, because pushes only move nodes
-    down.
+    Takes the tree's root rank, rank-0 count, size and root child ranks,
+    and is meant for a valid tree that is not a Union tree.  Every
+    Union-Find tree has at least as many rank-0 nodes as positive-rank
+    ones (:func:`count_filter`), has at least ``2^rank`` nodes below a
+    root of that rank, and keeps every rank below the root's among the
+    root's children, because pushes only move nodes down.
     """
-    if not count_filter(t):
+    if zeros < size - zeros:
         return REASON_COUNT_FILTER
-    if t.node_count < (1 << t.root_rank):
+    if size < (1 << rank):
         return REASON_RANK_RANGE
-    root_ranks = {t.rank[c] for c in t.children_of(t.root)}
-    if any(r not in root_ranks for r in range(t.root_rank)):
+    if any(r not in child_ranks for r in range(rank)):
         return REASON_MISSING_RANK
     return None
 
 
-def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
-    """Push steps that turn the canonical tree t into a Union tree, or None."""
-    if is_union_tree(t):
-        return ()
-    if _refute(t) is not None:
-        return None
+def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+    """Push steps, in input-tree ids, that make a rank over kids a Union tree.
 
-    # One child table serves every per-child value below; building one per
-    # child would make wide trees quadratic.
-    table = t.child_table()
-    root = t.root
-    top_rank = t.rank[root]
-    kids = table[root]
-    by_rank: dict[int, list[NodeId]] = {}
-    for c in kids:
-        by_rank.setdefault(t.rank[c], []).append(c)
+    The subproblem is a root of the given rank whose children are the
+    input-tree nodes ``kids``, each with its subtree from the input tree.
+    Returns None if no push sequence exists.
+    """
+    ranks, zeros, size, union = st.facts(rank, kids)
+    if union:
+        return ()
+    if _refute(rank, zeros, size, ranks) is not None:
+        return None
 
     # Split the depth-one children into isomorphism classes and sort the
     # classes into needy (their standalone subtree is not a Union tree, so
@@ -168,40 +189,28 @@ def _search(t: RankedTree, st: _Search) -> tuple[tuple[int, int], ...] | None:
     # to fill a concrete hole; free children are therefore pulled on demand
     # instead of being enumerated, which keeps wide collapse-heavy trees
     # tractable.
-    desc: dict[NodeId, list[NodeId]] = {}
-    for c in kids:
-        nodes = [c]
-        for y in nodes:  # breadth-first: the list grows while it is walked
-            nodes.extend(table[y])
-        desc[c] = sorted(nodes)
-    keys = subtree_keys(t, table)
+    groups: dict[tuple[int, bytes], list[NodeId]] = {}
+    for c in sorted(kids):
+        groups.setdefault((-st.rank[c], st.keys[c]), []).append(c)
     needy: list[_Class] = []
     free: list[_Class] = []
-    for r in sorted(by_rank, reverse=True):
-        groups: dict[bytes, list[NodeId]] = {}
-        for c in sorted(by_rank[r]):
-            groups.setdefault(keys[c], []).append(c)
-        for key in sorted(groups):
-            members = groups[key]
-            sub, _ = _extract_enriched(t, desc, members[0], [])
-            own = table[members[0]]
-            zeros = sub.rank.count(0)
-            cls = _Class(
-                rank=r,
-                members=members,
-                zeros=zeros,
-                positives=sub.node_count - zeros,
-                child_keys=[keys[c] for c in own],
-                missing=sorted(set(range(r)) - {t.rank[c] for c in own}),
-            )
-            (free if is_union_tree(sub) else needy).append(cls)
+    for (neg_rank, _), members in sorted(groups.items()):
+        own = st.table[members[0]]
+        cls = _Class(
+            rank=-neg_rank,
+            members=members,
+            surplus=2 * st.zeros[members[0]] - st.size[members[0]],
+            child_keys=[st.keys[c] for c in own],
+            missing=sorted(set(range(-neg_rank)) - {st.rank[c] for c in own}),
+        )
+        (free if st.union[members[0]] else needy).append(cls)
 
-    free_per_rank = [0] * top_rank
+    free_per_rank = [0] * rank
     for cls in free:
         free_per_rank[cls.rank] += len(cls.members)
 
-    ctx = _Context(t, st, top_rank, needy, free, free_per_rank, desc, keys)
-    return _choose_kept(ctx, 0, [0] * top_rank, [], [])
+    ctx = _Context(st, rank, needy, free, free_per_rank)
+    return _choose_kept(ctx, 0, [0] * rank, [], [])
 
 
 @dataclass
@@ -210,26 +219,22 @@ class _Class:
 
     rank: int
     members: list[NodeId]
-    zeros: int  # rank-0 nodes in a member's subtree
-    positives: int  # positive-rank nodes in a member's subtree
+    surplus: int  # rank-0 minus positive-rank nodes in a member's subtree
     child_keys: list[bytes]  # keys of a member's own children
     missing: list[int]  # ranks below the members' rank absent among those
 
 
 @dataclass
 class _Context:
-    tree: RankedTree
     st: _Search
     top_rank: int
     needy: list[_Class]
     free: list[_Class]
     free_per_rank: list[int]
-    desc: dict[NodeId, list[NodeId]]  # descendants per depth-one child
-    keys: list[bytes]  # canonical key of the subtree below every node
 
     def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
         """Canonical key of a member of cls with the grafted subtrees below it."""
-        return node_key(cls.rank, cls.child_keys + [self.keys[y] for y in grafted])
+        return node_key(cls.rank, cls.child_keys + [self.st.keys[y] for y in grafted])
 
 
 def _choose_kept(
@@ -280,27 +285,6 @@ def _choose_kept(
     return None
 
 
-def _extract_enriched(
-    t: RankedTree, desc: dict[NodeId, list[NodeId]], x: NodeId, grafted: list[NodeId]
-) -> tuple[RankedTree, list[NodeId]]:
-    """Subtree of x with each grafted sibling subtree attached below x.
-
-    ``desc`` holds the descendants of every depth-one child.  With no
-    grafts this is ``subtree(t, x)``, ids ascending in the same way.
-    """
-    ids = sorted(itertools.chain(desc[x], *(desc[y] for y in grafted)))
-    to_new = {old: new for new, old in enumerate(ids)}
-    roots = set(grafted)
-    parent = tuple(
-        NO_PARENT
-        if old == x
-        else to_new[x] if old in roots else to_new[t.parent[old]]
-        for old in ids
-    )
-    rank = tuple(t.rank[old] for old in ids)
-    return RankedTree(parent, rank), ids
-
-
 def _assign_targets(
     ctx: _Context,
     kept: list[tuple[_Class, int]],
@@ -318,7 +302,6 @@ def _assign_targets(
     the whole branch.  A target that is the last one able to absorb a needy
     class must take that class's remainder.
     """
-    t = ctx.tree
     # Demand/supply precheck per rank: a kept needy child whose root misses
     # rank r can only receive it from a pushed needy child or a pulled free
     # child of that exact rank, because internal pushes never move nodes up.
@@ -346,7 +329,9 @@ def _assign_targets(
     for ci, cls in enumerate(ctx.free):
         if cls.rank > 0:
             targets.extend((x, cls, ci, pos) for pos, x in enumerate(cls.members))
-    targets.sort(key=lambda target: (-target[1].rank, target[0]))
+    # by key between rank and id, so the search order is the same under
+    # every labeling of the input tree
+    targets.sort(key=lambda target: (-target[1].rank, ctx.st.keys[target[0]], target[0]))
 
     remaining = [len(members) for _, members in pushed]
     # suffix_best[i] = highest target rank at or after position i
@@ -386,15 +371,14 @@ def _assign_targets(
                     return True
                 continue
             grafted: list[NodeId] = []
-            stats = [0, 0]  # rank-0 and positive-rank node counts of the grafts
+            surplus = cls.surplus
             for j, take in zip(eligible, counts):
                 source, members = pushed[j]
                 used = len(members) - remaining[j]
                 grafted.extend(members[used : used + take])
                 remaining[j] -= take
-                stats[0] += take * source.zeros
-                stats[1] += take * source.positives
-            for pulls in _iter_pulls(ctx, pulled, slack, x, cls, grafted, stats):
+                surplus += take * source.surplus
+            for pulls in _iter_pulls(ctx, pulled, slack, x, cls, grafted, surplus):
                 plan.append((x, cls, grafted + pulls))
                 if place(ti + 1):
                     return True
@@ -407,29 +391,50 @@ def _assign_targets(
         return None
 
     level_one = [(y, x) for x, _, grafted in plan for y in grafted]
-    level_one.sort(key=lambda step: (-t.rank[step[0]], step[0]))
+    level_one.sort(key=lambda step: (-ctx.st.rank[step[0]], step[0]))
     steps: list[tuple[int, int]] = list(level_one)
     for x, cls, grafted in plan:
         inner = ctx.st.memo[ctx.key(cls, grafted)]
         if inner:
-            sub, ids = _extract_enriched(t, ctx.desc, x, grafted)
-            order = canonical_form(sub)[1]
-            steps.extend((ids[order[a]], ids[order[b]]) for a, b in inner)
+            ids = _canonical_ids(ctx.st, x, grafted)
+            steps.extend((ids[a], ids[b]) for a, b in inner)
     return tuple(steps)
+
+
+def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId]:
+    """Input-tree ids of x's enriched subtree, listed by canonical id.
+
+    The enriched subtree is x with the grafted subtrees below it.  It is
+    materialized and canonicalized only to translate the push steps of a
+    successful decision between the input tree and the memo.
+    """
+    nodes, parent = [x], [NO_PARENT]
+    for i, y in enumerate(nodes):  # breadth-first: the list grows while it is walked
+        kids = st.table[y] + grafted if i == 0 else st.table[y]
+        nodes.extend(kids)
+        parent.extend([i] * len(kids))
+    order = canonical_form(RankedTree(parent, [st.rank[y] for y in nodes]))[1]
+    return [nodes[i] for i in order]
 
 
 def _decide(ctx: _Context, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
     """Whether x, a member of cls, with the grafted subtrees below it is UF.
 
-    Memoized by canonical key: the subtree is materialized, canonicalized
-    and searched only the first time its key is seen.
+    Memoized by canonical key, which the index gives without building the
+    subtree.  On a miss the search runs on the input tree's own nodes; a
+    successful decision with steps is canonicalized once, to store its
+    steps in canonical-tree ids.
     """
-    ctx.st.tick()
+    st = ctx.st
+    st.tick()
     key = ctx.key(cls, grafted)
-    if key not in ctx.st.memo:
-        sub, _ = _extract_enriched(ctx.tree, ctx.desc, x, grafted)
-        ctx.st.memo[key] = _search(canonical_form(sub)[0], ctx.st)
-    return ctx.st.memo[key] is not None
+    if key not in st.memo:
+        steps = _search(st, cls.rank, st.table[x] + grafted)
+        if steps:
+            to_canon = {y: i for i, y in enumerate(_canonical_ids(st, x, grafted))}
+            steps = tuple((to_canon[a], to_canon[b]) for a, b in steps)
+        st.memo[key] = steps
+    return st.memo[key] is not None
 
 
 def _iter_pulls(
@@ -439,9 +444,11 @@ def _iter_pulls(
     x: NodeId,
     x_cls: _Class,
     grafted: list[NodeId],
-    graft_stats: list[int],
+    surplus: int,
 ):
     """Yield the minimal successful free pulls for x enriched with the grafts.
+
+    ``surplus`` is the rank-0 surplus of that enriched subtree.
 
     Success is monotone: extra free children at the subtree's root never
     hurt.  Pull vectors are therefore tried in ascending total, and
@@ -453,12 +460,10 @@ def _iter_pulls(
     stays booked in ``pulled`` and ``slack`` until the consumer asks for
     the next one.
     """
-    t, st = ctx.tree, ctx.st
+    st = ctx.st
     x_rank = x_cls.rank
-    graft_ranks = {t.rank[y] for y in grafted}
+    graft_ranks = {st.rank[y] for y in grafted}
     required = [r for r in x_cls.missing if r not in graft_ranks]
-    zeros = x_cls.zeros + graft_stats[0]
-    positives = x_cls.positives + graft_stats[1]
 
     pool = [
         ci
@@ -472,18 +477,14 @@ def _iter_pulls(
     def avail(ci: int) -> int:
         return len(ctx.free[ci].members) - pulled[ci]
 
-    def balance(ci: int) -> int:
-        # rank-0 surplus of one pulled child; never negative for a Union tree
-        return ctx.free[ci].zeros - ctx.free[ci].positives
-
-    deficit = positives - zeros
-    # high-surplus, wide classes first so both pruning rules bite early
-    pool.sort(key=lambda ci: (-balance(ci), -avail(ci)))
+    # high-surplus, wide classes first so both pruning rules bite early; a
+    # free child's surplus is never negative, since it is a Union tree
+    pool.sort(key=lambda ci: (-ctx.free[ci].surplus, -avail(ci)))
     limits = [avail(ci) for ci in pool]
-    balances = [balance(ci) for ci in pool]
+    balances = [ctx.free[ci].surplus for ci in pool]
 
     minima: list[tuple[int, ...]] = []
-    for vec in _minimal_candidates(limits, minima, balances, deficit):
+    for vec in _minimal_candidates(limits, minima, balances, -surplus):
         st.tick()
         vec_ranks = {ctx.free[ci].rank for ci, v in zip(pool, vec) if v}
         if any(r not in vec_ranks for r in required):
@@ -497,18 +498,16 @@ def _iter_pulls(
         if not _decide(ctx, x, x_cls, grafted + pulls):
             continue
         minima.append(vec)
-        rank_loss: dict[int, int] = {}
         for ci, v in zip(pool, vec):
-            if v:
-                rank_loss[ctx.free[ci].rank] = rank_loss.get(ctx.free[ci].rank, 0) + v
-        if all(loss <= slack[r] for r, loss in rank_loss.items()):
-            for ci, v in zip(pool, vec):
-                pulled[ci] += v
-                slack[ctx.free[ci].rank] -= v
+            pulled[ci] += v
+            slack[ctx.free[ci].rank] -= v
+        # a pool rank had slack >= 0 (it has free members); a pull that
+        # drives it negative would leave the rank absent from the root
+        if all(slack[ctx.free[ci].rank] >= 0 for ci in pool):
             yield pulls
-            for ci, v in zip(pool, vec):
-                pulled[ci] -= v
-                slack[ctx.free[ci].rank] += v
+        for ci, v in zip(pool, vec):
+            pulled[ci] -= v
+            slack[ctx.free[ci].rank] += v
 
 
 def _minimal_candidates(
@@ -567,9 +566,12 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     The search follows the characterization via pushes: pick the children
     that remain at depth one (their ranks must cover ``{0..rank(root)-1}``),
     push every other child below a strictly higher-ranked survivor, and
-    recursively decide each enriched subtree.  Candidate subtrees are
-    pre-filtered by the rank-0 count condition and the ``2^rank`` size
-    bound, and memoized by canonical key.
+    recursively decide each enriched subtree.  A Union tree, or a tree a
+    root filter refutes, is answered from the tree alone.  Otherwise one
+    index of the tree serves the whole search: every candidate subtree is
+    a rank over input-tree nodes, pre-filtered by the same filters and
+    memoized by canonical key.  Targets are tried in order of rank, key
+    and id, so the search effort does not depend on the tree's labeling.
 
     ``budget`` caps the search effort, counted in subtree decisions and
     candidate probes; when it runs out the verdict is the inconclusive
@@ -579,20 +581,20 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     validate(t).raise_if_invalid()
     if is_union_tree(t):
         return Verdict(True, REASON_UNION_TREE)
-    reason = _refute(t)
+    root = t.root
+    root_ranks = {t.rank[c] for c in t.children_of(root)}
+    reason = _refute(t.rank[root], t.rank.count(0), t.node_count, root_ranks)
     if reason is not None:
         return Verdict(False, reason)
 
-    st = _Search(budget)
-    canon, order = canonical_form(t)
+    st = _Search(t, budget)
     try:
         st.tick()
-        steps = _search(canon, st)
+        steps = _search(st, t.rank[root], st.table[root])
     except _BudgetExhausted:
         return Verdict(False, REASON_BUDGET)
     if steps is None:
         return Verdict(False, REASON_SEARCH)
-    steps = tuple((order[a], order[b]) for a, b in steps)
     return Verdict(True, REASON_CERTIFICATE, Certificate(steps))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from uftree.tree import RankedTree, canonical_key, merge, singleton
@@ -34,6 +36,19 @@ def wide_tree(k: int) -> RankedTree:
         parent += [0, len(parent)]
     parent += [0, len(parent)]
     rank = [3] + [0] * 30 + [1, 0] * k + [2, 0]
+    return RankedTree(tuple(parent), tuple(rank))
+
+
+def relabel(t: RankedTree, seed: int | None = None) -> RankedTree:
+    """t with its ids reversed, or shuffled by ``seed``: an isomorphic copy."""
+    new_id = list(range(t.node_count - 1, -1, -1))
+    if seed is not None:
+        random.Random(seed).shuffle(new_id)
+    parent = [0] * t.node_count
+    rank = [0] * t.node_count
+    for x, p in enumerate(t.parent):
+        parent[new_id[x]] = p if p < 0 else new_id[p]
+        rank[new_id[x]] = t.rank[x]
     return RankedTree(tuple(parent), tuple(rank))
 
 

@@ -144,6 +144,15 @@ class TestGen:
         assert main(["gen", "uf", "-n", "12", "--seed", "42"]) == 0
         assert capsys.readouterr().out == via_env
 
+    def test_malformed_seed_env_is_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("UFTREE_SEED", "abc")
+        assert main(["gen", "uf", "-n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("uftree:") and "UFTREE_SEED" in lines[0]
+
     def test_gen_mutant(self, tmp_path, capsys):
         assert main(["gen", "mutant", "-n", "14", "--seed", "2"]) == 0
         tree = parse_tree(capsys.readouterr().out)

@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, settings
 
-from support import chain, merge_constructible, ranked_trees, star, union_trees_upto, wide_tree
+from support import (
+    chain,
+    merge_constructible,
+    ranked_trees,
+    relabel,
+    star,
+    union_trees_upto,
+    wide_tree,
+)
 from uftree import recognize
 from uftree.errors import CapExceeded
 from uftree.forest import enumerate_trees, export_trees, random_oplog, random_uf_tree, replay
@@ -16,7 +24,7 @@ from uftree.recognize import (
     REASON_SEARCH,
     REASON_UNION_TREE,
     Certificate,
-    _extract_enriched,
+    _Search,
     brute_force_is_uf,
     check_certificate,
     count_filter,
@@ -33,9 +41,19 @@ from uftree.tree import (
     collapse,
     merge,
     node_key,
+    push,
     singleton,
+    subtree,
     subtree_keys,
 )
+
+
+# the trees of the prop4, rank-range and missing-rank filter tests below
+ROOT_FILTER_FIXTURES = [
+    make_apple(3),
+    RankedTree((-1, 0, 0, 2, 0, 4), (3, 0, 1, 0, 2, 0)),
+    RankedTree((-1, 0, 0, 1, 1, 2, 2), (2, 1, 1, 0, 0, 0, 0)),
+]
 
 
 def largest_export(n, seed):
@@ -167,6 +185,29 @@ class TestRecognizer:
         assert verdict.reason == REASON_CERTIFICATE
         assert check_certificate(t, verdict.certificate)
 
+    def test_trees_the_root_decides_build_no_index(self, monkeypatch):
+        # the index costs a child table and the subtree keys of every node;
+        # a Union tree or a root-filter rejection needs neither
+        calls = []
+        table, keys = RankedTree.child_table, recognize.subtree_keys
+        monkeypatch.setattr(RankedTree, "child_table", lambda t: calls.append(t) or table(t))
+        monkeypatch.setattr(recognize, "subtree_keys", lambda *a: calls.append(a) or keys(*a))
+        union = is_union_find_tree(random_uf_tree(500, 0, collapse_prob=0.0))
+        reasons = [is_union_find_tree(t).reason for t in ROOT_FILTER_FIXTURES]
+        assert union.reason == REASON_UNION_TREE
+        assert reasons == [REASON_COUNT_FILTER, REASON_RANK_RANGE, REASON_MISSING_RANK]
+        assert calls == []
+
+    @given(ranked_trees(max_nodes=9))
+    @settings(max_examples=80, deadline=None)
+    def test_index_facts_match_the_subtrees(self, t):
+        st = _Search(t, None)
+        for x in range(t.node_count):
+            sub, _ = subtree(t, x)
+            assert st.zeros[x] == sub.rank.count(0)
+            assert st.size[x] == sub.node_count
+            assert st.union[x] == is_union_tree(sub)
+
     @pytest.mark.parametrize(
         "build, ticks",
         [
@@ -176,8 +217,17 @@ class TestRecognizer:
             (lambda: random_uf_tree(60, 0), 49),
             (lambda: random_uf_tree(100, 0), 62),
             (lambda: random_uf_tree(200, 4), 144),
+            # the same effort under any labeling of the same trees
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 1203),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 1203),
+            (lambda: relabel(random_uf_tree(200, 4)), 144),
+            (lambda: relabel(random_uf_tree(200, 4), 3), 144),
         ],
-        ids=["flat-12344", "flat-114", "flat-33222", "uf60", "uf100", "uf200-s4"],
+        ids=[
+            "flat-12344", "flat-114", "flat-33222", "uf60", "uf100", "uf200-s4",
+            "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
+            "uf200-s4-shuffled",
+        ],
     )
     def test_search_effort_is_pinned(self, build, ticks):
         # the smallest deciding budget: a change here changes the search itself
@@ -197,8 +247,7 @@ class TestRecognizer:
         t, basket, apples = flat.tree, flat.basket_roots[0], list(flat.apple_roots[:2])
         table = t.child_table()
         keys = subtree_keys(t, table)
-        desc = {x: t.descendants(x) for x in [basket, *apples]}
-        enriched, _ = _extract_enriched(t, desc, basket, apples)
+        enriched, _ = subtree(push(push(t, apples[0], basket), apples[1], basket), basket)
         child_keys = [keys[c] for c in table[basket]] + [keys[a] for a in apples]
         assert node_key(t.rank[basket], child_keys) == canonical_key(enriched)
 
