@@ -50,6 +50,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
     tree = _load_tree(args.file, args.max_nodes)
     if args.mode == "union":
         ok = recognize.is_union_tree(tree)
@@ -184,6 +186,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, matching the contract
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if args.max_nodes is not None and args.max_nodes < 1:
+            raise ValueError(f"--max-nodes must be at least 1, got {args.max_nodes}")
         return args.func(args)
     except CapExceeded as exc:
         print(f"uftree: {exc}", file=sys.stderr)

@@ -260,13 +260,8 @@ def _choose_kept(
     rank, members = cls.rank, cls.members
     # The last needy class of a rank with no free members must keep coverage.
     later_same_rank = i + 1 < len(ctx.needy) and ctx.needy[i + 1].rank == rank
-    min_keep = 0
-    if (
-        not later_same_rank
-        and kept_per_rank[rank] == 0
-        and ctx.free_per_rank[rank] == 0
-    ):
-        min_keep = 1
+    uncovered = kept_per_rank[rank] == 0 and ctx.free_per_rank[rank] == 0
+    min_keep = 1 if uncovered and not later_same_rank else 0
     if rank == ctx.top_rank - 1:
         min_keep = len(members)  # nothing outranks them, they cannot move
 
@@ -313,15 +308,12 @@ def _assign_targets(
     for cls, members in pushed:
         pushed_per_rank[cls.rank] += len(members)
     for r in range(ctx.top_rank):
-        free_avail = ctx.free_per_rank[r] - (1 if kept_per_rank[r] == 0 else 0)
-        if demand[r] > free_avail + pushed_per_rank[r]:
+        if demand[r] > ctx.free_per_rank[r] - (kept_per_rank[r] == 0) + pushed_per_rank[r]:
             return None
 
     pulled = [0] * len(ctx.free)
     # slack[r]: pulls rank r can still lose while keeping one child at root
-    slack = [
-        kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)
-    ]
+    slack = [kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)]
 
     # a target is (node, its class, the free class index or -1, its position
     # in the class); pulls take free members from the end of their class
@@ -334,11 +326,6 @@ def _assign_targets(
     targets.sort(key=lambda target: (-target[1].rank, ctx.st.keys[target[0]], target[0]))
 
     remaining = [len(members) for _, members in pushed]
-    # suffix_best[i] = highest target rank at or after position i
-    suffix_best = [0] * (len(targets) + 1)
-    for i in range(len(targets) - 1, -1, -1):
-        suffix_best[i] = max(suffix_best[i + 1], targets[i][1].rank)
-
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
     def place(ti: int) -> bool:
@@ -347,22 +334,26 @@ def _assign_targets(
         # trees do not take one stack frame per child.
         while ti < len(targets):
             x, cls, ci, pos = targets[ti]
-            eligible = [j for j in range(len(pushed)) if pushed[j][0].rank < cls.rank]
             if ci < 0:
                 break
             if pos < len(cls.members) - pulled[ci]:
-                if any(remaining[j] for j in eligible):
+                if any(
+                    left for (source, _), left in zip(pushed, remaining) if source.rank < cls.rank
+                ):
                     break
                 ctx.st.tick()  # an untouched free child is already a Union tree
             ti += 1
         if ti == len(targets):
             return not any(remaining)
 
-        split_ranges = []
-        for j in eligible:
-            must_take_all = suffix_best[ti + 1] <= pushed[j][0].rank
-            low = remaining[j] if must_take_all else 0
-            split_ranges.append(range(low, remaining[j] + 1))
+        # targets come in descending rank, so the next one has the highest
+        # rank left; a class it cannot absorb must go here in full
+        next_rank = targets[ti + 1][1].rank if ti + 1 < len(targets) else 0
+        eligible = [j for j, (source, _) in enumerate(pushed) if source.rank < cls.rank]
+        split_ranges = [
+            range(remaining[j] if next_rank <= pushed[j][0].rank else 0, remaining[j] + 1)
+            for j in eligible
+        ]
         for counts in itertools.product(*split_ranges):
             ctx.st.tick()
             if ci >= 0 and not any(counts):
@@ -390,9 +381,8 @@ def _assign_targets(
     if not place(0):
         return None
 
-    level_one = [(y, x) for x, _, grafted in plan for y in grafted]
-    level_one.sort(key=lambda step: (-ctx.st.rank[step[0]], step[0]))
-    steps: list[tuple[int, int]] = list(level_one)
+    steps = [(y, x) for x, _, grafted in plan for y in grafted]
+    steps.sort(key=lambda step: (-ctx.st.rank[step[0]], step[0]))
     for x, cls, grafted in plan:
         inner = ctx.st.memo[ctx.key(cls, grafted)]
         if inner:
@@ -446,118 +436,112 @@ def _iter_pulls(
     grafted: list[NodeId],
     surplus: int,
 ):
-    """Yield the minimal successful free pulls for x enriched with the grafts.
-
-    ``surplus`` is the rank-0 surplus of that enriched subtree.
+    """Yield the minimal successful free pulls for x enriched with the grafts,
+    whose rank-0 surplus is ``surplus``.
 
     Success is monotone: extra free children at the subtree's root never
     hurt.  Pull vectors are therefore tried in ascending total, and
     anything componentwise above an earlier success is skipped, because a
     witness pulling more than a minimal fix could have left the surplus at
-    the root instead.  Vectors that cannot possibly fix the subtree
+    the root instead.  A success recorded during one total is above no
+    other vector of that total, so the enumeration reads the successes
+    once per total.  Vectors that cannot possibly fix the subtree
     (missing positive ranks, rank-0 deficit) or that would hollow out the
     root's rank coverage are skipped without a search.  A yielded pull
     stays booked in ``pulled`` and ``slack`` until the consumer asks for
     the next one.
     """
-    st = ctx.st
-    x_rank = x_cls.rank
-    graft_ranks = {st.rank[y] for y in grafted}
+    graft_ranks = {ctx.st.rank[y] for y in grafted}
     required = [r for r in x_cls.missing if r not in graft_ranks]
-
-    pool = [
-        ci
-        for ci, cls in enumerate(ctx.free)
-        if cls.rank < x_rank and len(cls.members) - pulled[ci] > 0
-    ]
-    pool_ranks = {ctx.free[ci].rank for ci in pool}
-    if any(r not in pool_ranks for r in required):
+    # (class, free index, available) entries; bookings are undone before the
+    # next vector, so the last `available` members of each class are unpulled.
+    # High-surplus, wide classes first so both pruning rules bite early; a
+    # free child's surplus is never negative, since it is a Union tree.
+    pool = sorted(
+        (
+            (cls, ci, len(cls.members) - pulled[ci])
+            for ci, cls in enumerate(ctx.free)
+            if cls.rank < x_cls.rank and len(cls.members) > pulled[ci]
+        ),
+        key=lambda entry: (-entry[0].surplus, -entry[2]),
+    )
+    if not {cls.rank for cls, _, _ in pool}.issuperset(required):
         return
 
-    def avail(ci: int) -> int:
-        return len(ctx.free[ci].members) - pulled[ci]
-
-    # high-surplus, wide classes first so both pruning rules bite early; a
-    # free child's surplus is never negative, since it is a Union tree
-    pool.sort(key=lambda ci: (-ctx.free[ci].surplus, -avail(ci)))
-    limits = [avail(ci) for ci in pool]
-    balances = [ctx.free[ci].surplus for ci in pool]
-
     minima: list[tuple[int, ...]] = []
+    limits = [avail for _, _, avail in pool]
+    balances = [cls.surplus for cls, _, _ in pool]
     for vec in _minimal_candidates(limits, minima, balances, -surplus):
-        st.tick()
-        vec_ranks = {ctx.free[ci].rank for ci, v in zip(pool, vec) if v}
+        ctx.st.tick()
+        vec_ranks = {cls.rank for (cls, _, _), v in zip(pool, vec) if v}
         if any(r not in vec_ranks for r in required):
             continue
         pulls: list[NodeId] = []
-        for ci, v in zip(pool, vec):
-            if v:
-                members = ctx.free[ci].members
-                end = len(members) - pulled[ci]
-                pulls.extend(members[end - v : end])
+        for (cls, _, avail), v in zip(pool, vec):
+            pulls.extend(cls.members[avail - v : avail])
         if not _decide(ctx, x, x_cls, grafted + pulls):
             continue
         minima.append(vec)
-        for ci, v in zip(pool, vec):
+        for (cls, ci, _), v in zip(pool, vec):
             pulled[ci] += v
-            slack[ctx.free[ci].rank] -= v
+            slack[cls.rank] -= v
         # a pool rank had slack >= 0 (it has free members); a pull that
         # drives it negative would leave the rank absent from the root
-        if all(slack[ctx.free[ci].rank] >= 0 for ci in pool):
+        if all(slack[cls.rank] >= 0 for cls, _, _ in pool):
             yield pulls
-        for ci, v in zip(pool, vec):
+        for (cls, ci, _), v in zip(pool, vec):
             pulled[ci] -= v
-            slack[ctx.free[ci].rank] += v
+            slack[cls.rank] += v
 
 
 def _minimal_candidates(
     limits: list[int], minima: list[tuple[int, ...]], balances: list[int], deficit: int
 ):
-    """Count vectors ascending by total, pruned by minima and the deficit.
+    """Vectors up to ``limits``, ascending by total and then lexicographically,
+    whose weighted sum against ``balances`` reaches ``deficit`` and that sit
+    at or above none of the ``minima``.
 
-    Only vectors whose weighted sum against ``balances`` reaches ``deficit``
-    can fix the subtree's rank-0 shortfall, so branches that can no longer
-    reach it are cut.  ``minima`` is read live: entries appended by the
-    consumer prune the remainder of the enumeration, since a prefix
-    componentwise at or above a recorded minimum whose remaining
-    coordinates are all zero only produces dominated vectors.
+    The consumer appends its successes to ``minima``.  One prefix walk per
+    total cuts a prefix that can no longer reach the deficit or fill the
+    total, or that sits at or above a minimum whose remaining coordinates
+    are all zero; it carries down only the minima its prefix sits at or
+    above.  ``minima`` is read once per total: a minimum recorded during
+    total t has total t, so it is above no other vector of that total.
     """
-    if not limits:
-        if deficit <= 0:
-            yield ()
-        return
     n = len(limits)
-    suffix_power = [0] * (n + 1)
+    # room[i], power[i]: the most coordinates i.. add to the total and to the weighted sum
+    room, power = [0] * (n + 1), [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_power[i] = suffix_power[i + 1] + limits[i] * balances[i]
+        room[i] = room[i + 1] + limits[i]
+        power[i] = power[i + 1] + limits[i] * balances[i]
+    if deficit > power[0]:
+        return
+    if n == 0:
+        yield ()
+        return
 
-    def dominated(prefix: tuple[int, ...]) -> bool:
-        k = len(prefix)
-        for m in minima:
-            if all(v == 0 for v in m[k:]) and all(
-                prefix[j] >= m[j] for j in range(k)
-            ):
-                return True
-        return False
+    def walk(i: int, rest: int, need: int, prefix: tuple[int, ...], live: list):
+        # live: (minimum, its last nonzero index) for each minimum the prefix is at or above
+        if i == n - 1:  # the last coordinate takes the rest of the total
+            if rest * balances[i] >= need and not (live and any(m[i] <= rest for m, _ in live)):
+                yield prefix + (rest,)
+            return
+        for v in range(max(0, rest - room[i + 1]), min(rest, limits[i]) + 1):
+            left = need - v * balances[i]
+            if left > power[i + 1]:
+                continue
+            above = live
+            if live:
+                above = [(m, last) for m, last in live if m[i] <= v]
+                if any(last <= i for _, last in above):
+                    break  # so is every larger v
+            yield from walk(i + 1, rest - v, left, prefix + (v,), above)
 
-    def split(total: int, i: int, prefix: tuple[int, ...], need: int):
-        if need > suffix_power[i]:
-            return
-        if dominated(prefix):
-            return
-        if i == n - 1:
-            if total <= limits[i] and total * balances[i] >= need:
-                vec = prefix + (total,)
-                if not dominated(vec):
-                    yield vec
-            return
-        for first in range(min(total, limits[i]) + 1):
-            yield from split(
-                total - first, i + 1, prefix + (first,), need - first * balances[i]
-            )
-
-    for total in range(sum(limits) + 1):
-        yield from split(total, 0, (), deficit)
+    for total in range(room[0] + 1):
+        live = [(m, max(j for j, v in enumerate(m) if v)) for m in minima if any(m)]
+        if len(live) < len(minima):
+            return  # the zero vector is a minimum
+        yield from walk(0, total, deficit, (), live)
 
 
 def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:

@@ -9,6 +9,14 @@ from uftree.reduction import make_flat_tree, parse_instance
 from uftree.tree import parse_tree, serialize_tree, singleton
 
 
+def assert_one_usage_line(capsys, option):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("uftree: ") and option in lines[0]
+
+
 def write_tree(tmp_path, tree, name="input.tree"):
     path = tmp_path / name
     path.write_text(serialize_tree(tree))
@@ -63,6 +71,16 @@ class TestCheck:
     def test_budget_exhaustion_exit(self, flat_tree_file):
         path, _ = flat_tree_file
         assert main(["check", path, "--budget", "1"]) == 3
+
+    def test_negative_budget_is_usage(self, flat_tree_file, capsys):
+        path, _ = flat_tree_file
+        assert main(["check", path, "--budget", "-1"]) == 2
+        assert_one_usage_line(capsys, "--budget")
+
+    def test_zero_budget_is_valid(self, tmp_path, flat_tree_file):
+        path, _ = flat_tree_file
+        assert main(["check", path, "--budget", "0"]) == 3
+        assert main(["check", write_tree(tmp_path, singleton()), "--budget", "0"]) == 0
 
     @pytest.mark.parametrize("k", [1200, 49_980])
     def test_wide_trees_accepted_up_to_the_parse_cap(self, tmp_path, capsys, k):
@@ -187,6 +205,12 @@ class TestOracleAndDot:
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_node_cap_below_one_is_usage(self, flat_tree_file, capsys, cap):
+        path, _ = flat_tree_file
+        assert main(["--max-nodes", cap, "check", path]) == 2
+        assert_one_usage_line(capsys, "--max-nodes")
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

@@ -1,5 +1,8 @@
 """Recognition procedures, filters, certificates, and the push oracle."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +17,14 @@ from support import (
 )
 from uftree import recognize
 from uftree.errors import CapExceeded
-from uftree.forest import enumerate_trees, export_trees, random_oplog, random_uf_tree, replay
+from uftree.forest import (
+    enumerate_trees,
+    export_trees,
+    mutate,
+    random_oplog,
+    random_uf_tree,
+    replay,
+)
 from uftree.recognize import (
     REASON_BUDGET,
     REASON_CERTIFICATE,
@@ -24,6 +34,7 @@ from uftree.recognize import (
     REASON_SEARCH,
     REASON_UNION_TREE,
     Certificate,
+    _minimal_candidates,
     _Search,
     brute_force_is_uf,
     check_certificate,
@@ -297,6 +308,21 @@ class TestRecognizer:
             verdict = is_union_find_tree(t)
             assert verdict.accepted == brute_force_is_uf(t), (t.parent, t.rank)
 
+    def test_oracle_agreement_on_mutated_engine_trees(self):
+        # engine trees of 10-18 nodes, each mutated three times: big enough
+        # for multi-class placement and pulls, small enough for the oracle
+        negatives = 0
+        for s in range(300):
+            t = random_uf_tree(10 + s % 9, s)
+            for k in range(3):
+                t = mutate(t, 1000 * s + k)
+            verdict = is_union_find_tree(t)
+            assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
+            if verdict.certificate is not None:
+                assert check_certificate(t, verdict.certificate), s
+            negatives += not verdict.accepted
+        assert negatives >= 50
+
     @given(ranked_trees(max_nodes=8, max_extra_rank=1))
     @settings(max_examples=80, deadline=None)
     def test_oracle_agreement_random(self, t):
@@ -316,6 +342,64 @@ class TestRecognizer:
                 final = push_op(final, a, b)
             gap = final.depth_sum() - st_seed.depth_sum()
             assert len(verdict.certificate) <= gap <= st_seed.node_count**2
+
+
+def reference_candidates(limits, minima, balances, deficit):
+    """Every vector up to the limits by total, then lexicographically, less
+    those short of the deficit and those at or above a recorded minimum."""
+    space = itertools.product(*(range(limit + 1) for limit in limits))
+    for vec in sorted(space, key=lambda vec: (sum(vec), vec)):
+        if sum(v * b for v, b in zip(vec, balances)) < deficit:
+            continue
+        if any(all(v >= m for v, m in zip(vec, low)) for low in minima):
+            continue
+        yield vec
+
+
+def consumed(enumerate_, limits, balances, deficit, succeeds):
+    """The vectors an enumeration yields to a consumer that records each
+    success as a minimum, the way the pull search does."""
+    minima, seen = [], []
+    for vec in enumerate_(limits, minima, balances, deficit):
+        seen.append(vec)
+        if succeeds(vec):
+            minima.append(vec)
+    return seen
+
+
+class TestMinimalCandidates:
+    @pytest.mark.parametrize(
+        "limits, balances, deficit, succeeds",
+        [
+            ([], [], 0, lambda vec: False),
+            ([], [], 1, lambda vec: True),
+            ([2, 3], [0, 0], 0, lambda vec: False),
+            ([2, 3], [0, 0], 1, lambda vec: True),
+            ([2, 1, 2], [0, 1, 0], 1, lambda vec: sum(vec) == 3),
+            ([1, 2, 2], [2, 1, 0], -1, lambda vec: True),  # the zero vector wins
+            ([1, 1, 1], [1, 1, 1], 2, lambda vec: vec[0] == 1),
+        ],
+    )
+    def test_edge_cases_match_the_reference(self, limits, balances, deficit, succeeds):
+        expected = consumed(reference_candidates, limits, balances, deficit, succeeds)
+        assert consumed(_minimal_candidates, limits, balances, deficit, succeeds) == expected
+
+    def test_random_cases_match_the_reference(self):
+        # the order is part of the contract: search ticks follow it
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(0, 4)
+            limits = [rng.randint(0, 3) for _ in range(n)]
+            balances = [rng.randint(0, 3) for _ in range(n)]
+            deficit = rng.randint(-2, sum(l * b for l, b in zip(limits, balances)) + 1)
+            rate = rng.random()
+
+            def succeeds(vec):
+                return random.Random(f"{seed}/{vec}").random() < rate
+
+            expected = consumed(reference_candidates, limits, balances, deficit, succeeds)
+            got = consumed(_minimal_candidates, limits, balances, deficit, succeeds)
+            assert got == expected, (limits, balances, deficit, rate)
 
 
 class TestOracle:
