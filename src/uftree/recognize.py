@@ -26,6 +26,7 @@ from .tree import (
     legal_pushes,
     node_key,
     push,
+    push_error,
     subtree,  # not called here; perfbench's tracer wraps recognize.subtree
     subtree_keys,
     validate,
@@ -194,6 +195,10 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         groups.setdefault((-st.rank[c], st.keys[c]), []).append(c)
     needy: list[_Class] = []
     free: list[_Class] = []
+    free_per_rank, per_rank = [0] * rank, [0] * rank
+    # a target is (node, its class, the free class index or -1, its position
+    # in the class); pulls take free members from the end of their class
+    targets: list[tuple[NodeId, _Class, int, int]] = []
     for (neg_rank, _), members in sorted(groups.items()):
         own = st.table[members[0]]
         cls = _Class(
@@ -203,14 +208,23 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
             child_keys=[st.keys[c] for c in own],
             missing=sorted(set(range(-neg_rank)) - {st.rank[c] for c in own}),
         )
-        (free if st.union[members[0]] else needy).append(cls)
+        per_rank[cls.rank] += len(members)
+        ci = -1
+        if st.union[members[0]]:
+            ci = len(free)
+            free.append(cls)
+            free_per_rank[cls.rank] += len(members)
+        else:
+            needy.append(cls)
+        if cls.rank > 0:  # a rank-0 child is free and can receive nothing
+            targets.extend((x, cls, ci, pos) for pos, x in enumerate(members))
+    # by key between rank and id, so the search order is the same under
+    # every labeling of the input tree
+    targets.sort(key=lambda target: (-target[1].rank, st.keys[target[0]], target[0]))
 
-    free_per_rank = [0] * rank
-    for cls in free:
-        free_per_rank[cls.rank] += len(cls.members)
-
-    ctx = _Context(st, rank, needy, free, free_per_rank)
-    return _choose_kept(ctx, 0, [0] * rank, [], [])
+    kept_per_rank, demand = [0] * rank, [0] * rank
+    ctx = _Context(st, rank, needy, free, free_per_rank, per_rank, targets, kept_per_rank, demand)
+    return _choose_kept(ctx, 0)
 
 
 @dataclass
@@ -222,6 +236,7 @@ class _Class:
     surplus: int  # rank-0 minus positive-rank nodes in a member's subtree
     child_keys: list[bytes]  # keys of a member's own children
     missing: list[int]  # ranks below the members' rank absent among those
+    kept: int = 0  # of a needy class: its first `kept` members stay at depth one
 
 
 @dataclass
@@ -231,19 +246,19 @@ class _Context:
     needy: list[_Class]
     free: list[_Class]
     free_per_rank: list[int]
+    per_rank: list[int]  # depth-one children of each rank
+    targets: list[tuple[NodeId, _Class, int, int]]  # every possible target, in search order
+    # of the needy classes decided so far: members kept per rank, and how
+    # many kept members miss each rank
+    kept_per_rank: list[int]
+    demand: list[int]
 
     def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
         """Canonical key of a member of cls with the grafted subtrees below it."""
         return node_key(cls.rank, cls.child_keys + [self.st.keys[y] for y in grafted])
 
 
-def _choose_kept(
-    ctx: _Context,
-    i: int,
-    kept_per_rank: list[int],
-    kept: list[tuple[_Class, int]],
-    pushed: list[tuple[_Class, list[NodeId]]],
-) -> tuple[tuple[int, int], ...] | None:
+def _choose_kept(ctx: _Context, i: int) -> tuple[tuple[int, int], ...] | None:
     """Decide, class by class in decreasing rank, which needy children stay.
 
     A needy child that stays becomes a repair site; one that is pushed must
@@ -254,38 +269,32 @@ def _choose_kept(
     """
     ctx.st.tick()
     if i == len(ctx.needy):
-        return _assign_targets(ctx, kept, pushed, kept_per_rank)
+        return _assign_targets(ctx)
 
     cls = ctx.needy[i]
     rank, members = cls.rank, cls.members
     # The last needy class of a rank with no free members must keep coverage.
     later_same_rank = i + 1 < len(ctx.needy) and ctx.needy[i + 1].rank == rank
-    uncovered = kept_per_rank[rank] == 0 and ctx.free_per_rank[rank] == 0
+    uncovered = ctx.kept_per_rank[rank] == 0 and ctx.free_per_rank[rank] == 0
     min_keep = 1 if uncovered and not later_same_rank else 0
     if rank == ctx.top_rank - 1:
         min_keep = len(members)  # nothing outranks them, they cannot move
 
     for k in range(len(members), min_keep - 1, -1):
-        kept_per_rank[rank] += k
-        kept.append((cls, k))
-        if k < len(members):
-            pushed.append((cls, members[k:]))
-        result = _choose_kept(ctx, i + 1, kept_per_rank, kept, pushed)
-        if k < len(members):
-            pushed.pop()
-        kept.pop()
-        kept_per_rank[rank] -= k
+        cls.kept = k
+        ctx.kept_per_rank[rank] += k
+        for r in cls.missing:
+            ctx.demand[r] += k
+        result = _choose_kept(ctx, i + 1)
+        ctx.kept_per_rank[rank] -= k
+        for r in cls.missing:
+            ctx.demand[r] -= k
         if result is not None:
             return result
     return None
 
 
-def _assign_targets(
-    ctx: _Context,
-    kept: list[tuple[_Class, int]],
-    pushed: list[tuple[_Class, list[NodeId]]],
-    kept_per_rank: list[int],
-) -> tuple[tuple[int, int], ...] | None:
+def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     """Distribute pushed children and on-demand free pulls over the targets.
 
     Targets (kept needy children plus free children) are processed in
@@ -300,31 +309,17 @@ def _assign_targets(
     # Demand/supply precheck per rank: a kept needy child whose root misses
     # rank r can only receive it from a pushed needy child or a pulled free
     # child of that exact rank, because internal pushes never move nodes up.
-    demand = [0] * ctx.top_rank
-    for cls, k in kept:
-        for r in cls.missing:
-            demand[r] += k
-    pushed_per_rank = [0] * ctx.top_rank
-    for cls, members in pushed:
-        pushed_per_rank[cls.rank] += len(members)
+    # Supply is every child of rank r that is not kept, less one free child
+    # if none is kept, because the root keeps rank r.
     for r in range(ctx.top_rank):
-        if demand[r] > ctx.free_per_rank[r] - (kept_per_rank[r] == 0) + pushed_per_rank[r]:
+        if ctx.demand[r] + max(ctx.kept_per_rank[r], 1) > ctx.per_rank[r]:
             return None
 
     pulled = [0] * len(ctx.free)
     # slack[r]: pulls rank r can still lose while keeping one child at root
-    slack = [kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)]
-
-    # a target is (node, its class, the free class index or -1, its position
-    # in the class); pulls take free members from the end of their class
-    targets = [(x, cls, -1, 0) for cls, k in kept for x in cls.members[:k]]
-    for ci, cls in enumerate(ctx.free):
-        if cls.rank > 0:
-            targets.extend((x, cls, ci, pos) for pos, x in enumerate(cls.members))
-    # by key between rank and id, so the search order is the same under
-    # every labeling of the input tree
-    targets.sort(key=lambda target: (-target[1].rank, ctx.st.keys[target[0]], target[0]))
-
+    slack = [ctx.kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)]
+    targets = [target for target in ctx.targets if target[2] >= 0 or target[3] < target[1].kept]
+    pushed = [(cls, cls.members[cls.kept :]) for cls in ctx.needy if cls.kept < len(cls.members)]
     remaining = [len(members) for _, members in pushed]
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
@@ -619,13 +614,12 @@ def check_certificate(t: RankedTree, cert: Certificate) -> bool:
     """
     if len(cert.steps) > t.node_count**2:
         return False
-    cur = t
+    parent = list(t.parent)
     for x, y in cert.steps:
-        try:
-            cur = push(cur, x, y)
-        except ValueError:
+        if push_error(parent, t.rank, x, y) is not None:
             return False
-    return is_union_tree(cur)
+        parent[x] = y
+    return is_union_tree(RankedTree(parent, t.rank))
 
 
 def format_certificate(cert: Certificate) -> str:

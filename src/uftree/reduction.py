@@ -127,41 +127,22 @@ def make_flat_tree(inst: PartitionInstance) -> FlatTree:
     order, baskets) so serialization is reproducible; the semantics are
     unordered.  Node count is 8 + sum(a_i + 2) + k*(B + 4).
     """
-    parent: list[int] = [NO_PARENT]
-    rank: list[int] = [4]
+    # rank-4 root; constant children: rank-0 leaf; rank-1 over a leaf;
+    # rank-2 over a leaf and a rank-1 node that has its own leaf
+    parent = [NO_PARENT, 0, 0, 2, 0, 4, 4, 6]
+    rank = [4, 0, 1, 0, 2, 0, 1, 0]
 
-    def add(r: int, par: int) -> int:
-        parent.append(par)
-        rank.append(r)
-        return len(parent) - 1
+    def graft(gadget: RankedTree) -> NodeId:
+        top = len(parent)
+        parent.append(0)  # the gadget's root, its node 0, goes below the flat root
+        parent.extend([top + p for p in gadget.parent[1:]])
+        rank.extend(gadget.rank)
+        return top
 
-    # constant children: rank-0 leaf; rank-1 over a leaf; rank-2 over a leaf
-    # and a rank-1 node that has its own leaf
-    add(0, 0)
-    n1 = add(1, 0)
-    add(0, n1)
-    n2 = add(2, 0)
-    add(0, n2)
-    n21 = add(1, n2)
-    add(0, n21)
-
-    apple_roots = []
-    for a in inst.weights:
-        top = add(2, 0)
-        apple_roots.append(top)
-        add(0, top)
-        for _ in range(a):
-            add(1, top)
-
-    H = inst.target
-    basket_roots = []
-    for _ in range(inst.parts):
-        top = add(3, 0)
-        basket_roots.append(top)
-        for _ in range(H + 1):
-            add(0, top)
-        mid = add(1, top)
-        add(0, mid)
+    apples = {a: make_apple(a) for a in set(inst.weights)}
+    basket = make_basket(inst.target)
+    apple_roots = [graft(apples[a]) for a in inst.weights]
+    basket_roots = [graft(basket) for _ in range(inst.parts)]
 
     return FlatTree(
         RankedTree(tuple(parent), tuple(rank)),

@@ -8,6 +8,7 @@ pure: input trees are never mutated, results are fresh values.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CapExceeded, FormatError, InvalidTreeError
@@ -226,19 +227,28 @@ def collapse(t: RankedTree, x: NodeId) -> RankedTree:
 
 def push(t: RankedTree, x: NodeId, y: NodeId) -> RankedTree:
     """Move x one level deeper, below its strictly higher-ranked sibling y."""
-    t.check_node(x)
-    t.check_node(y)
-    if x == y:
-        raise ValueError("push requires two distinct nodes")
-    if t.parent[x] == NO_PARENT or t.parent[x] != t.parent[y]:
-        raise ValueError(f"push requires siblings, got nodes {x} and {y}")
-    if t.rank[x] >= t.rank[y]:
-        raise ValueError(
-            f"push requires rank({x}) < rank({y}), got {t.rank[x]} >= {t.rank[y]}"
-        )
+    error = push_error(t.parent, t.rank, x, y)
+    if error is not None:
+        raise ValueError(error)
     parent = list(t.parent)
     parent[x] = y
     return RankedTree(tuple(parent), t.rank)
+
+
+def push_error(
+    parent: Sequence[int], rank: Sequence[int], x: NodeId, y: NodeId
+) -> str | None:
+    """Why x cannot be pushed below y in the tree with these arrays, or None."""
+    for z in (x, y):
+        if not 0 <= z < len(parent):
+            return f"unknown node id {z}"
+    if x == y:
+        return "push requires two distinct nodes"
+    if parent[x] == NO_PARENT or parent[x] != parent[y]:
+        return f"push requires siblings, got nodes {x} and {y}"
+    if rank[x] >= rank[y]:
+        return f"push requires rank({x}) < rank({y}), got {rank[x]} >= {rank[y]}"
+    return None
 
 
 def legal_pushes(t: RankedTree):

@@ -228,6 +228,8 @@ class TestRecognizer:
             (lambda: random_uf_tree(60, 0), 49),
             (lambda: random_uf_tree(100, 0), 62),
             (lambda: random_uf_tree(200, 4), 144),
+            (lambda: random_uf_tree(400, 1), 980),
+            (lambda: random_uf_tree(400, 2), 2176),
             # the same effort under any labeling of the same trees
             (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 1203),
             (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 1203),
@@ -236,6 +238,7 @@ class TestRecognizer:
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "uf60", "uf100", "uf200-s4",
+            "uf400-s1", "uf400-s2",
             "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled",
         ],
@@ -427,6 +430,42 @@ class TestCertificates:
     def test_illegal_step_fails(self):
         assert not check_certificate(star(1, 0), Certificate(((0, 1),)))
         assert not check_certificate(star(1, 0), Certificate(((5, 0),)))
+
+    # root 0 (rank 3) over 1 (rank 0), 2 (rank 1, over 3) and 4 (rank 2, over 5)
+    REPLAY_TREE = RankedTree((-1, 0, 0, 2, 0, 4), (3, 0, 1, 0, 2, 0))
+
+    @pytest.mark.parametrize(
+        "steps, kind",
+        [
+            (((1, 9),), "unknown node id 9"),
+            (((-1, 2),), "unknown node id -1"),
+            (((2, 2),), "distinct"),
+            (((0, 2),), "siblings"),
+            (((3, 4),), "siblings"),
+            (((4, 2),), "rank"),
+            # after 1 moves below 2 it is no longer a sibling of 4
+            (((1, 2), (1, 4)), "siblings"),
+        ],
+        ids=["unknown", "negative", "same-node", "root", "cousins", "rank", "moved"],
+    )
+    def test_each_illegal_kind_raises_and_fails_replay(self, steps, kind):
+        t = self.REPLAY_TREE
+        for x, y in steps[:-1]:
+            t = push(t, x, y)
+        with pytest.raises(ValueError, match=kind):
+            push(t, *steps[-1])
+        assert not check_certificate(self.REPLAY_TREE, Certificate(steps))
+
+    def test_replay_does_not_rebuild_the_tree_per_step(self, monkeypatch):
+        # rank-2 root over 51 leaves and a rank-1 node with a leaf; pushing
+        # 50 leaves below the rank-1 node leaves a Union tree
+        t = RankedTree((-1,) + (0,) * 52 + (52,), (2,) + (0,) * 51 + (1, 0))
+        cert = Certificate(tuple((x, 52) for x in range(1, 51)))
+        built = []
+        original = RankedTree.__post_init__
+        monkeypatch.setattr(RankedTree, "__post_init__", lambda s: built.append(s) or original(s))
+        assert check_certificate(t, cert)
+        assert len(built) <= 2
 
     def test_too_long_fails(self):
         steps = ((1, 2),) * 5  # above the 4-node quadratic bound? 16 allows 5

@@ -23,7 +23,7 @@ from uftree.reduction import (
     solve_partition,
     verify_reduction,
 )
-from uftree.tree import canonical_key, parse_tree, serialize_tree, validate
+from uftree.tree import canonical_key, parse_tree, serialize_tree, subtree, validate
 
 
 def rank_census(t) -> Counter:
@@ -110,6 +110,15 @@ class TestFlatTree:
         flat = make_flat_tree(parse_instance("1,2,3,4,4;2"))
         parsed = parse_tree(serialize_tree(flat.tree))
         assert canonical_key(parsed) == canonical_key(flat.tree)
+
+    @pytest.mark.parametrize("text", ["1,2,3,4,4;2", "9,8,7,6,5,4,3,2,2,2;3", "2,2;2"])
+    def test_gadgets_are_the_standalone_shapes(self, text):
+        inst = parse_instance(text)
+        flat = make_flat_tree(inst)
+        for root, weight in zip(flat.apple_roots, inst.weights):
+            assert subtree(flat.tree, root)[0] == make_apple(weight)
+        for root in flat.basket_roots:
+            assert subtree(flat.tree, root)[0] == make_basket(inst.target)
 
     def test_total_node_formula(self):
         for weights, k in [((1, 1), 2), ((3, 3, 3), 3), ((5, 1, 2), 2)]:
