@@ -199,6 +199,8 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     # a target is (node, its class, the free class index or -1, its position
     # in the class); pulls take free members from the end of their class
     targets: list[tuple[NodeId, _Class, int, int]] = []
+    # by key between rank and id, so the search order is the same under
+    # every labeling of the input tree; members are listed by id
     for (neg_rank, _), members in sorted(groups.items()):
         own = st.table[members[0]]
         cls = _Class(
@@ -218,9 +220,6 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
             needy.append(cls)
         if cls.rank > 0:  # a rank-0 child is free and can receive nothing
             targets.extend((x, cls, ci, pos) for pos, x in enumerate(members))
-    # by key between rank and id, so the search order is the same under
-    # every labeling of the input tree
-    targets.sort(key=lambda target: (-target[1].rank, st.keys[target[0]], target[0]))
 
     kept_per_rank, demand = [0] * rank, [0] * rank
     ctx = _Context(st, rank, needy, free, free_per_rank, per_rank, targets, kept_per_rank, demand)
@@ -247,7 +246,7 @@ class _Context:
     free: list[_Class]
     free_per_rank: list[int]
     per_rank: list[int]  # depth-one children of each rank
-    targets: list[tuple[NodeId, _Class, int, int]]  # every possible target, in search order
+    targets: list[tuple[NodeId, _Class, int, int]]  # every positive-rank child, in search order
     # of the needy classes decided so far: members kept per rank, and how
     # many kept members miss each rank
     kept_per_rank: list[int]
@@ -297,14 +296,17 @@ def _choose_kept(ctx: _Context, i: int) -> tuple[tuple[int, int], ...] | None:
 def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     """Distribute pushed children and on-demand free pulls over the targets.
 
-    Targets (kept needy children plus free children) are processed in
-    decreasing rank, so by the time a free child takes its own turn it can
-    no longer be pulled: pulls always come from strictly lower ranks.  For
-    each target, every split of the still-unplaced needy children is tried;
-    free pulls are then probed in ascending size, and each candidate
-    subtree is decided immediately (memoized), so a hopeless target prunes
-    the whole branch.  A target that is the last one able to absorb a needy
-    class must take that class's remainder.
+    Targets are the kept needy children and the free children that outrank
+    some pushed class; a free child below every pushed class can receive
+    nothing.  They are served in decreasing rank, so by the time a free
+    child takes its own turn it can no longer be pulled: pulls always come
+    from strictly lower ranks.  For each target, every split of the
+    still-unplaced needy children is tried; free pulls are then probed in
+    ascending size, and each candidate subtree is decided immediately
+    (memoized), so a hopeless target prunes the whole branch.  A target
+    that is the last one able to absorb a needy class must take that
+    class's remainder.  The targets being served sit on an explicit stack,
+    so placement depth takes no Python frames.
     """
     # Demand/supply precheck per rank: a kept needy child whose root misses
     # rank r can only receive it from a pushed needy child or a pulled free
@@ -318,29 +320,19 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     pulled = [0] * len(ctx.free)
     # slack[r]: pulls rank r can still lose while keeping one child at root
     slack = [ctx.kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)]
-    targets = [target for target in ctx.targets if target[2] >= 0 or target[3] < target[1].kept]
     pushed = [(cls, cls.members[cls.kept :]) for cls in ctx.needy if cls.kept < len(cls.members)]
     remaining = [len(members) for _, members in pushed]
+    lowest = min((cls.rank for cls, _ in pushed), default=ctx.top_rank)
+    targets = [t for t in ctx.targets if t[3] < t[1].kept or t[2] >= 0 and t[1].rank > lowest]
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
-    def place(ti: int) -> bool:
-        # Free targets that are pulled, or that have nothing left to
-        # receive, stay as they are; a loop steps over them so that wide
-        # trees do not take one stack frame per child.
-        while ti < len(targets):
-            x, cls, ci, pos = targets[ti]
-            if ci < 0:
-                break
-            if pos < len(cls.members) - pulled[ci]:
-                if any(
-                    left for (source, _), left in zip(pushed, remaining) if source.rank < cls.rank
-                ):
-                    break
-                ctx.st.tick()  # an untouched free child is already a Union tree
-            ti += 1
-        if ti == len(targets):
-            return not any(remaining)
-
+    def serve(ti: int):
+        # one yield per way to serve target ti; its grafts and pulls stay
+        # booked while the generator is suspended
+        x, cls, ci, pos = targets[ti]
+        if ci >= 0 and pos >= len(cls.members) - pulled[ci]:
+            yield True  # pulled below an earlier target, it receives nothing
+            return
         # targets come in descending rank, so the next one has the highest
         # rank left; a class it cannot absorb must go here in full
         next_rank = targets[ti + 1][1].rank if ti + 1 < len(targets) else 0
@@ -352,9 +344,7 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
         for counts in itertools.product(*split_ranges):
             ctx.st.tick()
             if ci >= 0 and not any(counts):
-                # an untouched free child is already a Union tree
-                if place(ti + 1):
-                    return True
+                yield True  # an untouched free child is already a Union tree
                 continue
             grafted: list[NodeId] = []
             surplus = cls.surplus
@@ -366,15 +356,19 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
                 surplus += take * source.surplus
             for pulls in _iter_pulls(ctx, pulled, slack, x, cls, grafted, surplus):
                 plan.append((x, cls, grafted + pulls))
-                if place(ti + 1):
-                    return True
+                yield True
                 plan.pop()
             for j, take in zip(eligible, counts):
                 remaining[j] += take
-        return False
 
-    if not place(0):
-        return None
+    stack = []
+    while len(stack) < len(targets) or any(remaining):
+        if len(stack) < len(targets):
+            stack.append(serve(len(stack)))
+        while stack and not next(stack[-1], False):
+            stack.pop()
+        if not stack:
+            return None
 
     steps = [(y, x) for x, _, grafted in plan for y in grafted]
     steps.sort(key=lambda step: (-ctx.st.rank[step[0]], step[0]))

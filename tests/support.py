@@ -39,6 +39,17 @@ def wide_tree(k: int) -> RankedTree:
     return RankedTree(tuple(parent), tuple(rank))
 
 
+def many_repairs(m: int) -> RankedTree:
+    """Rank-3 root over a leaf, m rank-2 children each over a leaf, and m + 1
+    rank-1 children each over a leaf: 4m + 4 nodes.  Every rank-2 child must
+    stay and take one rank-1 child, so a certificate has m steps."""
+    parent = [-1, 0]
+    for _ in range(2 * m + 1):
+        parent += [0, len(parent)]
+    rank = [3, 0] + [2, 0] * m + [1, 0] * (m + 1)
+    return RankedTree(tuple(parent), tuple(rank))
+
+
 def relabel(t: RankedTree, seed: int | None = None) -> RankedTree:
     """t with its ids reversed, or shuffled by ``seed``: an isomorphic copy."""
     new_id = list(range(t.node_count - 1, -1, -1))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from support import wide_tree
+from support import many_repairs, wide_tree
 from uftree.cli import main
 from uftree.recognize import check_certificate, parse_certificate
 from uftree.reduction import make_flat_tree, parse_instance
@@ -90,6 +90,13 @@ class TestCheck:
         assert main(["check", write_tree(tmp_path, t), "--emit-certificate"]) == 0
         cert = parse_certificate(capsys.readouterr().out)
         assert len(cert) == 1 and check_certificate(t, cert)
+
+    def test_many_repair_sites_accepted(self, tmp_path, capsys):
+        # a stack frame per target that receives would overflow here: exit 3
+        t = many_repairs(1200)
+        assert main(["check", write_tree(tmp_path, t), "--emit-certificate"]) == 0
+        cert = parse_certificate(capsys.readouterr().out)
+        assert len(cert) == 1200 and check_certificate(t, cert)
 
     def test_recursion_limit_is_not_a_rejection(self, flat_tree_file, capsys, monkeypatch):
         from uftree import recognize

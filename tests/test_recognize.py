@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from support import (
     chain,
+    many_repairs,
     merge_constructible,
     ranked_trees,
     relabel,
@@ -196,6 +197,15 @@ class TestRecognizer:
         assert verdict.reason == REASON_CERTIFICATE
         assert check_certificate(t, verdict.certificate)
 
+    def test_targets_that_all_receive_take_no_stack_frames(self):
+        # a frame per target that receives would overflow at 1,200 targets
+        t = many_repairs(1200)
+        assert t.node_count == 4804
+        verdict = is_union_find_tree(t)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert len(verdict.certificate) == 1200
+        assert check_certificate(t, verdict.certificate)
+
     def test_trees_the_root_decides_build_no_index(self, monkeypatch):
         # the index costs a child table and the subtree keys of every node;
         # a Union tree or a root-filter rejection needs neither
@@ -222,23 +232,25 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 1203),
-            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 160),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 464),
-            (lambda: random_uf_tree(60, 0), 49),
-            (lambda: random_uf_tree(100, 0), 62),
-            (lambda: random_uf_tree(200, 4), 144),
-            (lambda: random_uf_tree(400, 1), 980),
-            (lambda: random_uf_tree(400, 2), 2176),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 1187),
+            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 157),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 455),
+            (lambda: random_uf_tree(60, 0), 42),
+            (lambda: random_uf_tree(100, 0), 51),
+            (lambda: random_uf_tree(200, 4), 128),
+            (lambda: random_uf_tree(400, 1), 940),
+            (lambda: random_uf_tree(400, 2), 2120),
+            # free children that outrank no pushed class are no targets
+            (lambda: wide_tree(900), 7),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 1203),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 1203),
-            (lambda: relabel(random_uf_tree(200, 4)), 144),
-            (lambda: relabel(random_uf_tree(200, 4), 3), 144),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 1187),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 1187),
+            (lambda: relabel(random_uf_tree(200, 4)), 128),
+            (lambda: relabel(random_uf_tree(200, 4), 3), 128),
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "uf60", "uf100", "uf200-s4",
-            "uf400-s1", "uf400-s2",
+            "uf400-s1", "uf400-s2", "wide-k900",
             "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled",
         ],
