@@ -13,7 +13,6 @@ desk-scale cross-checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, FormatError
@@ -301,12 +300,13 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     nothing.  They are served in decreasing rank, so by the time a free
     child takes its own turn it can no longer be pulled: pulls always come
     from strictly lower ranks.  For each target, every split of the
-    still-unplaced needy children is tried; free pulls are then probed in
-    ascending size, and each candidate subtree is decided immediately
-    (memoized), so a hopeless target prunes the whole branch.  A target
-    that is the last one able to absorb a needy class must take that
-    class's remainder.  The targets being served sit on an explicit stack,
-    so placement depth takes no Python frames.
+    still-unplaced needy children whose surplus fits the pool is tried;
+    free pulls are then probed in ascending size, and each candidate
+    subtree is decided immediately (memoized), so a hopeless target prunes
+    the whole branch.  A target that is the last one able to absorb a
+    needy class must take that class's remainder.  The targets being
+    served sit on an explicit stack, so placement depth takes no Python
+    frames.
     """
     # Demand/supply precheck per rank: a kept needy child whose root misses
     # rank r can only receive it from a pushed needy child or a pulled free
@@ -326,10 +326,28 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     targets = [t for t in ctx.targets if t[3] < t[1].kept or t[2] >= 0 and t[1].rank > lowest]
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
+    # Every target must end as a Union-Find tree, so its rank-0 surplus
+    # ends >= 0 (the count filter), and grafts and pulls only move surplus
+    # between targets.  So the targets still to serve can end with at most
+    # the pool: their own surplus, every pushed child's, and the best pulls
+    # from the free children that are no targets, at most slack[r] of rank
+    # r.  A served target books the surplus it ends with.
+    pool = sum(len(cls.members) * cls.surplus for cls in ctx.needy)
+    spare = slack[:]
+    for cls in sorted(ctx.free, key=lambda cls: -cls.surplus):
+        take = len(cls.members)
+        if cls.rank <= lowest:  # no target
+            take = min(take, spare[cls.rank])
+            spare[cls.rank] -= take
+        pool += take * cls.surplus
+
     def serve(ti: int):
-        # one yield per way to serve target ti; its grafts and pulls stay
-        # booked while the generator is suspended
+        # one yield per way to serve target ti; its grafts, pulls and surplus
+        # stay booked while the generator is suspended
+        nonlocal pool
         x, cls, ci, pos = targets[ti]
+        if pool < 0:
+            return
         if ci >= 0 and pos >= len(cls.members) - pulled[ci]:
             yield True  # pulled below an earlier target, it receives nothing
             return
@@ -341,10 +359,20 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
             range(remaining[j] if next_rank <= pushed[j][0].rank else 0, remaining[j] + 1)
             for j in eligible
         ]
-        for counts in itertools.product(*split_ranges):
+        # free pulls add between 0 and reach to the grafts' surplus, and the
+        # way must end between 0 and the pool
+        reach = sum(
+            (len(free.members) - pulled[fi]) * free.surplus
+            for fi, free in enumerate(ctx.free)
+            if free.rank < cls.rank
+        )
+        weights = [pushed[j][0].surplus for j in eligible]
+        for counts in _splits(split_ranges, weights, -reach - cls.surplus, pool - cls.surplus):
             ctx.st.tick()
             if ci >= 0 and not any(counts):
+                pool -= cls.surplus
                 yield True  # an untouched free child is already a Union tree
+                pool += cls.surplus
                 continue
             grafted: list[NodeId] = []
             surplus = cls.surplus
@@ -355,8 +383,11 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
                 remaining[j] -= take
                 surplus += take * source.surplus
             for pulls in _iter_pulls(ctx, pulled, slack, x, cls, grafted, surplus):
+                ends = surplus + sum(2 * ctx.st.zeros[y] - ctx.st.size[y] for y in pulls)
                 plan.append((x, cls, grafted + pulls))
+                pool -= ends
                 yield True
+                pool += ends
                 plan.pop()
             for j, take in zip(eligible, counts):
                 remaining[j] += take
@@ -378,6 +409,41 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
             ids = _canonical_ids(ctx.st, x, grafted)
             steps.extend((ids[a], ids[b]) for a, b in inner)
     return tuple(steps)
+
+
+def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
+    """The vectors of ``itertools.product(*ranges)``, in its order, whose
+    weighted sum against ``weights`` lies in ``[lo, hi]``.
+
+    The ranges are contiguous.  A prefix walk: the least and most the
+    remaining coordinates can add bound each coordinate to the values
+    that can still reach the window, so a cut prefix is never visited.
+    """
+    n = len(ranges)
+    # least[i], most[i]: the least and most coordinates i.. add to the sum
+    least, most = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        ends = (ranges[i].start * weights[i], (ranges[i].stop - 1) * weights[i])
+        least[i], most[i] = least[i + 1] + min(ends), most[i + 1] + max(ends)
+    if lo > most[0] or hi < least[0]:
+        return
+
+    def walk(i: int, total: int, prefix: tuple[int, ...]):
+        if i == n:
+            yield prefix
+            return
+        w, first, last = weights[i], ranges[i].start, ranges[i].stop - 1
+        # v * w must lie in [low, high] for some rest of the vector to fit;
+        # the prefix can reach the window, so a zero weight admits every v
+        low, high = lo - total - most[i + 1], hi - total - least[i + 1]
+        if w > 0:
+            first, last = max(first, -(-low // w)), min(last, high // w)
+        elif w < 0:
+            first, last = max(first, -(-high // w)), min(last, low // w)
+        for v in range(first, last + 1):
+            yield from walk(i + 1, total + v * w, prefix + (v,))
+
+    yield from walk(0, 0, ())
 
 
 def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId]:

@@ -37,6 +37,7 @@ from uftree.recognize import (
     Certificate,
     _minimal_candidates,
     _Search,
+    _splits,
     brute_force_is_uf,
     check_certificate,
     count_filter,
@@ -232,9 +233,11 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 1187),
-            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 157),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 455),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 191),
+            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 40),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 99),
+            # the gadget tail probe: splits that overfill a basket are never tried
+            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 10079),
             (lambda: random_uf_tree(60, 0), 42),
             (lambda: random_uf_tree(100, 0), 51),
             (lambda: random_uf_tree(200, 4), 128),
@@ -243,14 +246,14 @@ class TestRecognizer:
             # free children that outrank no pushed class are no targets
             (lambda: wide_tree(900), 7),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 1187),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 1187),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 191),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 191),
             (lambda: relabel(random_uf_tree(200, 4)), 128),
             (lambda: relabel(random_uf_tree(200, 4), 3), 128),
         ],
         ids=[
-            "flat-12344", "flat-114", "flat-33222", "uf60", "uf100", "uf200-s4",
-            "uf400-s1", "uf400-s2", "wide-k900",
+            "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
+            "uf200-s4", "uf400-s1", "uf400-s2", "wide-k900",
             "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled",
         ],
@@ -267,6 +270,23 @@ class TestRecognizer:
         verdict = is_union_find_tree(make_flat_tree(parse_instance("1,1,4;2")).tree)
         assert not verdict.accepted
         assert verdict.reason == REASON_SEARCH
+
+    def test_pulls_of_positive_rank_free_children_count_toward_the_surplus_pool(self):
+        # root 0 (rank 3) over leaf 1, the childless rank-1 node 2, rank-2
+        # nodes 4 (over three leaves) and 9 (over one), and rank-1 nodes 6
+        # and 11 (over two leaves each).  2 is pushed below 4, so the free
+        # rank-1 class ranks at the lowest pushed class and is no target,
+        # yet 9 must pull 11.  A pool that counted only rank-0 pulls would
+        # refute the tree.
+        t = RankedTree(
+            (-1, 0, 0, 4, 0, 4, 0, 6, 6, 0, 9, 0, 11, 4, 11),
+            (3, 0, 1, 0, 2, 0, 1, 0, 0, 2, 0, 1, 0, 0, 0),
+        )
+        verdict = is_union_find_tree(t)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert (11, 9) in verdict.certificate.steps
+        assert len(verdict.certificate) == 3
+        assert check_certificate(t, verdict.certificate)
 
     def test_candidate_key_is_the_canonical_key_of_the_enriched_subtree(self):
         flat = make_flat_tree(parse_instance("1,2,3,4,4;2"))
@@ -415,6 +435,48 @@ class TestMinimalCandidates:
             expected = consumed(reference_candidates, limits, balances, deficit, succeeds)
             got = consumed(_minimal_candidates, limits, balances, deficit, succeeds)
             assert got == expected, (limits, balances, deficit, rate)
+
+
+def reference_splits(ranges, weights, lo, hi):
+    """The filtered product the split walk must reproduce, order included."""
+    return [
+        vec
+        for vec in itertools.product(*ranges)
+        if lo <= sum(v * w for v, w in zip(vec, weights)) <= hi
+    ]
+
+
+class TestSplits:
+    @pytest.mark.parametrize(
+        "ranges, weights, lo, hi",
+        [
+            ([], [], 0, 0),  # the empty vector sums to 0
+            ([], [], 1, 5),
+            ([range(3, 4), range(0, 1)], [2, -1], 6, 6),
+            ([range(3, 4), range(0, 1)], [2, -1], 7, 9),
+            ([range(0, 3), range(1, 4)], [0, 0], -1, 1),
+            ([range(0, 3), range(1, 4)], [0, 0], 1, 2),
+            ([range(0, 4), range(2, 5), range(0, 3)], [-2, 3, -1], -3, 4),
+            ([range(0, 4), range(0, 4)], [1, 1], 3, 2),  # an empty window
+            ([range(2, 2), range(0, 3)], [1, 1], -9, 9),  # an empty range
+        ],
+    )
+    def test_edge_cases_match_the_reference(self, ranges, weights, lo, hi):
+        assert list(_splits(ranges, weights, lo, hi)) == reference_splits(ranges, weights, lo, hi)
+
+    def test_random_cases_match_the_reference(self):
+        # the order is part of the contract: the first success must not move
+        for seed in range(300):
+            rng = random.Random(seed)
+            ranges = []
+            for _ in range(rng.randint(0, 4)):
+                start = rng.randint(0, 3)
+                ranges.append(range(start, start + rng.randint(1, 4)))
+            weights = [rng.randint(-4, 4) for _ in ranges]
+            lo = rng.randint(-12, 12)
+            hi = lo + rng.randint(-2, 10)
+            expected = reference_splits(ranges, weights, lo, hi)
+            assert list(_splits(ranges, weights, lo, hi)) == expected, (ranges, weights, lo, hi)
 
 
 class TestOracle:
