@@ -324,12 +324,11 @@ def mutate(t: RankedTree, seed: int) -> RankedTree:
 
     Candidates are nonroot rank bumps that stay below the parent's rank,
     rank decrements that stay above every child's, and reparentings under a
-    strictly higher-ranked non-descendant.  The result always validates but
-    need not be a Union-Find tree anymore; raises when no candidate exists
-    (for instance on a rank-0 singleton).
+    strictly higher-ranked node (never a descendant).  The result always
+    validates but need not be a Union-Find tree anymore; raises when no
+    candidate exists (for instance on a rank-0 singleton).
     """
     validate(t).raise_if_invalid()
-    root = t.root
     table = t.child_table()
     candidates: list[tuple] = []
     for x in range(t.node_count):
@@ -340,11 +339,8 @@ def mutate(t: RankedTree, seed: int) -> RankedTree:
         if t.rank[x] - 1 > floor and t.rank[x] - 1 >= 0:
             candidates.append(("bump-down", x))
     for x in range(t.node_count):
-        if x == root:
-            continue
-        below = set(t.descendants(x))
         for p in range(t.node_count):
-            if p != t.parent[x] and p not in below and t.rank[x] < t.rank[p]:
+            if p != t.parent[x] and t.rank[x] < t.rank[p]:
                 candidates.append(("reparent", x, p))
     if not candidates:
         raise ValueError("tree admits no legal mutation")

@@ -7,7 +7,9 @@ compressions; equivalently, it can be transformed into a Union tree by a
 sequence of pushes.  Union trees are recognized in linear time; Union-Find
 recognition is NP-complete, so :func:`is_union_find_tree` runs an exact
 memoized backtracking search and, on acceptance, returns a replayable push
-certificate.  :func:`brute_force_is_uf` is an independent oracle for
+certificate.  Every level of its backtracking runs on one explicit-stack
+walk, :func:`_depth_first`, so Python frames nest once per rank, not per
+child or class.  :func:`brute_force_is_uf` is an independent oracle for
 desk-scale cross-checks.
 """
 
@@ -142,6 +144,10 @@ class _Search:
         size = 1 + sum(self.size[c] for c in kids)
         return ranks, zeros, size, len(ranks) == rank and all(self.union[c] for c in kids)
 
+    def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
+        """Canonical key of a member of cls with the grafted subtrees below it."""
+        return node_key(cls.rank, cls.child_keys + [self.keys[y] for y in grafted])
+
     def tick(self) -> None:
         if self.budget is not None:
             self.budget -= 1
@@ -166,6 +172,26 @@ def _refute(rank: int, zeros: int, size: int, child_ranks: set[int]) -> str | No
     if any(r not in child_ranks for r in range(rank)):
         return REASON_MISSING_RANK
     return None
+
+
+def _depth_first(stage, depth: int, state=None):
+    """Yield the last level's state each time all ``depth`` levels hold an option.
+
+    ``stage(i, state)`` yields a state per option at level i, given the
+    state of level i - 1's option (``state`` at level 0), and keeps that
+    option booked while it is suspended.  The levels sit on an explicit
+    stack, so depth takes no Python frames.
+    """
+    stack = [iter((state,))]
+    while stack:
+        for state in stack[-1]:
+            if len(stack) > depth:
+                yield state
+            else:
+                stack.append(stage(len(stack) - 1, state))
+            break
+        else:
+            stack.pop()
 
 
 def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
@@ -220,9 +246,52 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         if cls.rank > 0:  # a rank-0 child is free and can receive nothing
             targets.extend((x, cls, ci, pos) for pos, x in enumerate(members))
 
+    # of the needy classes kept so far: members kept per rank, and how many
+    # kept members miss each rank
     kept_per_rank, demand = [0] * rank, [0] * rank
-    ctx = _Context(st, rank, needy, free, free_per_rank, per_rank, targets, kept_per_rank, demand)
-    return _choose_kept(ctx, 0)
+
+    def keep(i: int, _):
+        # Decide, class by class in decreasing rank, which needy children
+        # stay.  A needy child that stays becomes a repair site; one that is
+        # pushed must land below a strictly higher-ranked depth-one survivor,
+        # which root coverage guarantees except at the maximal child rank.
+        # Free children always stay unless pulled later.  Keeping more is
+        # tried first so near-Union trees resolve with few pushes.
+        st.tick()
+        cls = needy[i]
+        # The last needy class of a rank with no free members must keep coverage.
+        later_same_rank = i + 1 < len(needy) and needy[i + 1].rank == cls.rank
+        uncovered = kept_per_rank[cls.rank] == 0 and free_per_rank[cls.rank] == 0
+        min_keep = 1 if uncovered and not later_same_rank else 0
+        if cls.rank == rank - 1:
+            min_keep = len(cls.members)  # nothing outranks them, they cannot move
+        for k in range(len(cls.members), min_keep - 1, -1):
+            cls.kept = k
+            kept_per_rank[cls.rank] += k
+            for r in cls.missing:
+                demand[r] += k
+            yield
+            kept_per_rank[cls.rank] -= k
+            for r in cls.missing:
+                demand[r] -= k
+
+    for _ in _depth_first(keep, len(needy)):
+        st.tick()
+        # Demand/supply precheck per rank: a kept needy child whose root
+        # misses rank r can only receive it from a pushed needy child or a
+        # pulled free child of that exact rank, because internal pushes never
+        # move nodes up.  Supply is every child of rank r that is not kept,
+        # less one free child if none is kept, because the root keeps rank r.
+        for r in range(rank):
+            if demand[r] + max(kept_per_rank[r], 1) > per_rank[r]:
+                break
+        else:
+            # slack[r]: pulls rank r can still lose while keeping one child at root
+            slack = [kept_per_rank[r] + free_per_rank[r] - 1 for r in range(rank)]
+            steps = _assign_targets(st, needy, free, targets, slack)
+            if steps is not None:
+                return steps
+    return None
 
 
 @dataclass
@@ -237,62 +306,9 @@ class _Class:
     kept: int = 0  # of a needy class: its first `kept` members stay at depth one
 
 
-@dataclass
-class _Context:
-    st: _Search
-    top_rank: int
-    needy: list[_Class]
-    free: list[_Class]
-    free_per_rank: list[int]
-    per_rank: list[int]  # depth-one children of each rank
-    targets: list[tuple[NodeId, _Class, int, int]]  # every positive-rank child, in search order
-    # of the needy classes decided so far: members kept per rank, and how
-    # many kept members miss each rank
-    kept_per_rank: list[int]
-    demand: list[int]
-
-    def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
-        """Canonical key of a member of cls with the grafted subtrees below it."""
-        return node_key(cls.rank, cls.child_keys + [self.st.keys[y] for y in grafted])
-
-
-def _choose_kept(ctx: _Context, i: int) -> tuple[tuple[int, int], ...] | None:
-    """Decide, class by class in decreasing rank, which needy children stay.
-
-    A needy child that stays becomes a repair site; one that is pushed must
-    land below a strictly higher-ranked depth-one survivor, which root
-    coverage guarantees except at the maximal child rank.  Free children
-    always stay unless pulled later.  Keeping more is tried first so
-    near-Union trees resolve with few pushes.
-    """
-    ctx.st.tick()
-    if i == len(ctx.needy):
-        return _assign_targets(ctx)
-
-    cls = ctx.needy[i]
-    rank, members = cls.rank, cls.members
-    # The last needy class of a rank with no free members must keep coverage.
-    later_same_rank = i + 1 < len(ctx.needy) and ctx.needy[i + 1].rank == rank
-    uncovered = ctx.kept_per_rank[rank] == 0 and ctx.free_per_rank[rank] == 0
-    min_keep = 1 if uncovered and not later_same_rank else 0
-    if rank == ctx.top_rank - 1:
-        min_keep = len(members)  # nothing outranks them, they cannot move
-
-    for k in range(len(members), min_keep - 1, -1):
-        cls.kept = k
-        ctx.kept_per_rank[rank] += k
-        for r in cls.missing:
-            ctx.demand[r] += k
-        result = _choose_kept(ctx, i + 1)
-        ctx.kept_per_rank[rank] -= k
-        for r in cls.missing:
-            ctx.demand[r] -= k
-        if result is not None:
-            return result
-    return None
-
-
-def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
+def _assign_targets(
+    st: _Search, needy: list[_Class], free: list[_Class], targets: list, slack: list[int]
+) -> tuple[tuple[int, int], ...] | None:
     """Distribute pushed children and on-demand free pulls over the targets.
 
     Targets are the kept needy children and the free children that outrank
@@ -304,26 +320,15 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     free pulls are then probed in ascending size, and each candidate
     subtree is decided immediately (memoized), so a hopeless target prunes
     the whole branch.  A target that is the last one able to absorb a
-    needy class must take that class's remainder.  The targets being
-    served sit on an explicit stack, so placement depth takes no Python
-    frames.
+    needy class must take that class's remainder.  Each target served is
+    one level of a :func:`_depth_first` walk, so placement depth takes no
+    Python frames.
     """
-    # Demand/supply precheck per rank: a kept needy child whose root misses
-    # rank r can only receive it from a pushed needy child or a pulled free
-    # child of that exact rank, because internal pushes never move nodes up.
-    # Supply is every child of rank r that is not kept, less one free child
-    # if none is kept, because the root keeps rank r.
-    for r in range(ctx.top_rank):
-        if ctx.demand[r] + max(ctx.kept_per_rank[r], 1) > ctx.per_rank[r]:
-            return None
-
-    pulled = [0] * len(ctx.free)
-    # slack[r]: pulls rank r can still lose while keeping one child at root
-    slack = [ctx.kept_per_rank[r] + ctx.free_per_rank[r] - 1 for r in range(ctx.top_rank)]
-    pushed = [(cls, cls.members[cls.kept :]) for cls in ctx.needy if cls.kept < len(cls.members)]
+    pulled = [0] * len(free)
+    pushed = [(cls, cls.members[cls.kept :]) for cls in needy if cls.kept < len(cls.members)]
     remaining = [len(members) for _, members in pushed]
-    lowest = min((cls.rank for cls, _ in pushed), default=ctx.top_rank)
-    targets = [t for t in ctx.targets if t[3] < t[1].kept or t[2] >= 0 and t[1].rank > lowest]
+    lowest = min((cls.rank for cls, _ in pushed), default=len(slack))  # the root's rank
+    targets = [t for t in targets if t[3] < t[1].kept or t[2] >= 0 and t[1].rank > lowest]
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
     # Every target must end as a Union-Find tree, so its rank-0 surplus
@@ -332,16 +337,16 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
     # the pool: their own surplus, every pushed child's, and the best pulls
     # from the free children that are no targets, at most slack[r] of rank
     # r.  A served target books the surplus it ends with.
-    pool = sum(len(cls.members) * cls.surplus for cls in ctx.needy)
+    pool = sum(len(cls.members) * cls.surplus for cls in needy)
     spare = slack[:]
-    for cls in sorted(ctx.free, key=lambda cls: -cls.surplus):
+    for cls in sorted(free, key=lambda cls: -cls.surplus):
         take = len(cls.members)
         if cls.rank <= lowest:  # no target
             take = min(take, spare[cls.rank])
             spare[cls.rank] -= take
         pool += take * cls.surplus
 
-    def serve(ti: int):
+    def serve(ti: int, _):
         # one yield per way to serve target ti; its grafts, pulls and surplus
         # stay booked while the generator is suspended
         nonlocal pool
@@ -349,7 +354,7 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
         if pool < 0:
             return
         if ci >= 0 and pos >= len(cls.members) - pulled[ci]:
-            yield True  # pulled below an earlier target, it receives nothing
+            yield  # pulled below an earlier target, it receives nothing
             return
         # targets come in descending rank, so the next one has the highest
         # rank left; a class it cannot absorb must go here in full
@@ -362,16 +367,16 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
         # free pulls add between 0 and reach to the grafts' surplus, and the
         # way must end between 0 and the pool
         reach = sum(
-            (len(free.members) - pulled[fi]) * free.surplus
-            for fi, free in enumerate(ctx.free)
-            if free.rank < cls.rank
+            (len(other.members) - pulled[fi]) * other.surplus
+            for fi, other in enumerate(free)
+            if other.rank < cls.rank
         )
         weights = [pushed[j][0].surplus for j in eligible]
         for counts in _splits(split_ranges, weights, -reach - cls.surplus, pool - cls.surplus):
-            ctx.st.tick()
+            st.tick()
             if ci >= 0 and not any(counts):
                 pool -= cls.surplus
-                yield True  # an untouched free child is already a Union tree
+                yield  # an untouched free child is already a Union tree
                 pool += cls.surplus
                 continue
             grafted: list[NodeId] = []
@@ -382,31 +387,28 @@ def _assign_targets(ctx: _Context) -> tuple[tuple[int, int], ...] | None:
                 grafted.extend(members[used : used + take])
                 remaining[j] -= take
                 surplus += take * source.surplus
-            for pulls in _iter_pulls(ctx, pulled, slack, x, cls, grafted, surplus):
-                ends = surplus + sum(2 * ctx.st.zeros[y] - ctx.st.size[y] for y in pulls)
+            for pulls in _iter_pulls(st, free, pulled, slack, x, cls, grafted, surplus):
+                ends = surplus + sum(2 * st.zeros[y] - st.size[y] for y in pulls)
                 plan.append((x, cls, grafted + pulls))
                 pool -= ends
-                yield True
+                yield
                 pool += ends
                 plan.pop()
             for j, take in zip(eligible, counts):
                 remaining[j] += take
 
-    stack = []
-    while len(stack) < len(targets) or any(remaining):
-        if len(stack) < len(targets):
-            stack.append(serve(len(stack)))
-        while stack and not next(stack[-1], False):
-            stack.pop()
-        if not stack:
-            return None
+    for _ in _depth_first(serve, len(targets)):
+        if not any(remaining):
+            break
+    else:
+        return None
 
     steps = [(y, x) for x, _, grafted in plan for y in grafted]
-    steps.sort(key=lambda step: (-ctx.st.rank[step[0]], step[0]))
+    steps.sort(key=lambda step: (-st.rank[step[0]], step[0]))
     for x, cls, grafted in plan:
-        inner = ctx.st.memo[ctx.key(cls, grafted)]
+        inner = st.memo[st.key(cls, grafted)]
         if inner:
-            ids = _canonical_ids(ctx.st, x, grafted)
+            ids = _canonical_ids(st, x, grafted)
             steps.extend((ids[a], ids[b]) for a, b in inner)
     return tuple(steps)
 
@@ -428,10 +430,8 @@ def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
     if lo > most[0] or hi < least[0]:
         return
 
-    def walk(i: int, total: int, prefix: tuple[int, ...]):
-        if i == n:
-            yield prefix
-            return
+    def choose(i: int, state: tuple[int, tuple[int, ...]]):
+        total, prefix = state
         w, first, last = weights[i], ranges[i].start, ranges[i].stop - 1
         # v * w must lie in [low, high] for some rest of the vector to fit;
         # the prefix can reach the window, so a zero weight admits every v
@@ -441,9 +441,9 @@ def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
         elif w < 0:
             first, last = max(first, -(-high // w)), min(last, low // w)
         for v in range(first, last + 1):
-            yield from walk(i + 1, total + v * w, prefix + (v,))
+            yield total + v * w, prefix + (v,)
 
-    yield from walk(0, 0, ())
+    yield from (prefix for _, prefix in _depth_first(choose, n, (0, ())))
 
 
 def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId]:
@@ -462,7 +462,7 @@ def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId
     return [nodes[i] for i in order]
 
 
-def _decide(ctx: _Context, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
+def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
     """Whether x, a member of cls, with the grafted subtrees below it is UF.
 
     Memoized by canonical key, which the index gives without building the
@@ -470,9 +470,8 @@ def _decide(ctx: _Context, x: NodeId, cls: _Class, grafted: list[NodeId]) -> boo
     successful decision with steps is canonicalized once, to store its
     steps in canonical-tree ids.
     """
-    st = ctx.st
     st.tick()
-    key = ctx.key(cls, grafted)
+    key = st.key(cls, grafted)
     if key not in st.memo:
         steps = _search(st, cls.rank, st.table[x] + grafted)
         if steps:
@@ -483,7 +482,8 @@ def _decide(ctx: _Context, x: NodeId, cls: _Class, grafted: list[NodeId]) -> boo
 
 
 def _iter_pulls(
-    ctx: _Context,
+    st: _Search,
+    free: list[_Class],
     pulled: list[int],
     slack: list[int],
     x: NodeId,
@@ -506,7 +506,7 @@ def _iter_pulls(
     stays booked in ``pulled`` and ``slack`` until the consumer asks for
     the next one.
     """
-    graft_ranks = {ctx.st.rank[y] for y in grafted}
+    graft_ranks = {st.rank[y] for y in grafted}
     required = [r for r in x_cls.missing if r not in graft_ranks]
     # (class, free index, available) entries; bookings are undone before the
     # next vector, so the last `available` members of each class are unpulled.
@@ -515,7 +515,7 @@ def _iter_pulls(
     pool = sorted(
         (
             (cls, ci, len(cls.members) - pulled[ci])
-            for ci, cls in enumerate(ctx.free)
+            for ci, cls in enumerate(free)
             if cls.rank < x_cls.rank and len(cls.members) > pulled[ci]
         ),
         key=lambda entry: (-entry[0].surplus, -entry[2]),
@@ -527,14 +527,14 @@ def _iter_pulls(
     limits = [avail for _, _, avail in pool]
     balances = [cls.surplus for cls, _, _ in pool]
     for vec in _minimal_candidates(limits, minima, balances, -surplus):
-        ctx.st.tick()
+        st.tick()
         vec_ranks = {cls.rank for (cls, _, _), v in zip(pool, vec) if v}
         if any(r not in vec_ranks for r in required):
             continue
         pulls: list[NodeId] = []
         for (cls, _, avail), v in zip(pool, vec):
             pulls.extend(cls.members[avail - v : avail])
-        if not _decide(ctx, x, x_cls, grafted + pulls):
+        if not _decide(st, x, x_cls, grafted + pulls):
             continue
         minima.append(vec)
         for (cls, ci, _), v in zip(pool, vec):
@@ -575,12 +575,9 @@ def _minimal_candidates(
         yield ()
         return
 
-    def walk(i: int, rest: int, need: int, prefix: tuple[int, ...], live: list):
+    def choose(i: int, state: tuple):
         # live: (minimum, its last nonzero index) for each minimum the prefix is at or above
-        if i == n - 1:  # the last coordinate takes the rest of the total
-            if rest * balances[i] >= need and not (live and any(m[i] <= rest for m, _ in live)):
-                yield prefix + (rest,)
-            return
+        rest, need, prefix, live = state
         for v in range(max(0, rest - room[i + 1]), min(rest, limits[i]) + 1):
             left = need - v * balances[i]
             if left > power[i + 1]:
@@ -590,13 +587,16 @@ def _minimal_candidates(
                 above = [(m, last) for m, last in live if m[i] <= v]
                 if any(last <= i for _, last in above):
                     break  # so is every larger v
-            yield from walk(i + 1, rest - v, left, prefix + (v,), above)
+            yield rest - v, left, prefix + (v,), above
 
     for total in range(room[0] + 1):
         live = [(m, max(j for j, v in enumerate(m) if v)) for m in minima if any(m)]
         if len(live) < len(minima):
             return  # the zero vector is a minimum
-        yield from walk(0, total, deficit, (), live)
+        for rest, need, prefix, above in _depth_first(choose, n - 1, (total, deficit, (), live)):
+            # the last coordinate takes the rest of the total
+            if rest * balances[-1] >= need and not (above and any(m[-1] <= rest for m, _ in above)):
+                yield prefix + (rest,)
 
 
 def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
@@ -605,12 +605,15 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     The search follows the characterization via pushes: pick the children
     that remain at depth one (their ranks must cover ``{0..rank(root)-1}``),
     push every other child below a strictly higher-ranked survivor, and
-    recursively decide each enriched subtree.  A Union tree, or a tree a
-    root filter refutes, is answered from the tree alone.  Otherwise one
-    index of the tree serves the whole search: every candidate subtree is
-    a rank over input-tree nodes, pre-filtered by the same filters and
-    memoized by canonical key.  Targets are tried in order of rank, key
-    and id, so the search effort does not depend on the tree's labeling.
+    recursively decide each enriched subtree.  Only that recursion takes
+    Python frames, one nesting level per rank; every choice within a
+    subproblem backtracks on :func:`_depth_first`'s explicit stack.  A
+    Union tree, or a tree a root filter refutes, is answered from the tree
+    alone.  Otherwise one index of the tree serves the whole search: every
+    candidate subtree is a rank over input-tree nodes, pre-filtered by the
+    same filters and memoized by canonical key.  Targets are tried in order
+    of rank, key and id, so the search effort does not depend on the tree's
+    labeling.
 
     ``budget`` caps the search effort, counted in subtree decisions and
     candidate probes; when it runs out the verdict is the inconclusive

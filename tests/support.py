@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -48,6 +49,48 @@ def many_repairs(m: int) -> RankedTree:
         parent += [0, len(parent)]
     rank = [3, 0] + [2, 0] * m + [1, 0] * (m + 1)
     return RankedTree(tuple(parent), tuple(rank))
+
+
+def binomial(j: int) -> tuple:
+    """The rank-j binomial tree B_j, 2^j nodes, as a (rank, children) spec."""
+    return (j, [binomial(i) for i in range(j)])
+
+
+def from_spec(spec: tuple) -> RankedTree:
+    """The tree a nested (rank, children) spec describes, root first."""
+    parent, rank = [], []
+    stack = [(spec, -1)]
+    while stack:
+        (r, kids), p = stack.pop()
+        parent.append(p)
+        rank.append(r)
+        stack.extend((kid, len(parent) - 1) for kid in kids)
+    return RankedTree(tuple(parent), tuple(rank))
+
+
+def many_needy_classes(m: int) -> RankedTree:
+    """Rank-5 root over m rank-4 children, one per triple (a, b, c) of
+    {1..10}^3 in order, each over a leaves, b B1s and c B2s; m + 1 B3s; one
+    each of B0, B1 and B2; and four more leaves.  Every rank-4 child is a
+    needy class of its own that misses rank 3 and cannot move, so each
+    takes one B3 and a certificate has m steps (47,520 nodes at m=1,000)."""
+    triples = itertools.islice(itertools.product(range(1, 11), repeat=3), m)
+    kids = [(4, [binomial(0)] * a + [binomial(1)] * b + [binomial(2)] * c) for a, b, c in triples]
+    kids += [binomial(3)] * (m + 1) + [binomial(j) for j in range(3)] + [binomial(0)] * 4
+    return from_spec((5, kids))
+
+
+def many_free_classes(m: int) -> RankedTree:
+    """Rank-4 root over a rank-3 child over a B0 and a B1; m free rank-2
+    children, one per pair (a, b) of {1..32}^2 in order, each over a leaves
+    and b B1s; and one each of B0, B1 and B3.  The rank-3 child misses rank
+    2, so it pulls one of m + 2 free classes below it: a 1-step certificate
+    (49,952 nodes at m=1,000)."""
+    pairs = itertools.islice(itertools.product(range(1, 33), repeat=2), m)
+    kids = [(3, [binomial(0), binomial(1)])]
+    kids += [(2, [binomial(0)] * a + [binomial(1)] * b) for a, b in pairs]
+    kids += [binomial(0), binomial(1), binomial(3)]
+    return from_spec((4, kids))
 
 
 def relabel(t: RankedTree, seed: int | None = None) -> RankedTree:

@@ -20,7 +20,7 @@ from uftree.forest import (
     replay,
 )
 from uftree.recognize import brute_force_is_uf, count_filter, is_union_find_tree, is_union_tree
-from uftree.tree import canonical_key, collapse, merge, singleton, validate
+from uftree.tree import RankedTree, canonical_key, collapse, merge, singleton, validate
 
 
 class TestReplay:
@@ -203,6 +203,18 @@ class TestMutate:
     def test_deterministic(self):
         t = random_uf_tree(12, seed=4)
         assert mutate(t, seed=1) == mutate(t, seed=1)
+
+    def test_reparenting_needs_no_descendant_walk(self, monkeypatch):
+        # ranks strictly decrease downward, so a higher-ranked node is never
+        # a descendant; a descendant walk per node made mutate O(n^2)
+        calls = []
+        original = RankedTree.descendants
+        monkeypatch.setattr(
+            RankedTree, "descendants", lambda t, x: calls.append(x) or original(t, x)
+        )
+        m = mutate(random_uf_tree(200, seed=3), seed=5)
+        assert validate(m)
+        assert calls == []
 
     def test_output_validates(self):
         for seed in range(30):

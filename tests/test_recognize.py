@@ -8,6 +8,8 @@ from hypothesis import given, settings
 
 from support import (
     chain,
+    many_free_classes,
+    many_needy_classes,
     many_repairs,
     merge_constructible,
     ranked_trees,
@@ -205,6 +207,21 @@ class TestRecognizer:
         verdict = is_union_find_tree(t)
         assert verdict.reason == REASON_CERTIFICATE
         assert len(verdict.certificate) == 1200
+        assert check_certificate(t, verdict.certificate)
+
+    @pytest.mark.parametrize(
+        "build, nodes, steps",
+        [(many_needy_classes, 47_520, 1000), (many_free_classes, 49_952, 1)],
+        ids=["needy", "free"],
+    )
+    def test_classes_take_no_stack_frames(self, build, nodes, steps):
+        # a frame per needy class to keep, or per free class to pull from,
+        # would overflow at 1,000 classes
+        t = build(1000)
+        assert t.node_count == nodes
+        verdict = is_union_find_tree(t)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert len(verdict.certificate) == steps
         assert check_certificate(t, verdict.certificate)
 
     def test_trees_the_root_decides_build_no_index(self, monkeypatch):
@@ -436,6 +453,10 @@ class TestMinimalCandidates:
             got = consumed(_minimal_candidates, limits, balances, deficit, succeeds)
             assert got == expected, (limits, balances, deficit, rate)
 
+    def test_coordinates_take_no_stack_frames(self):
+        # a frame per coordinate would overflow at 2,000
+        assert next(_minimal_candidates([1] * 2000, [], [0] * 2000, 0)) == (0,) * 2000
+
 
 def reference_splits(ranges, weights, lo, hi):
     """The filtered product the split walk must reproduce, order included."""
@@ -459,6 +480,8 @@ class TestSplits:
             ([range(0, 4), range(2, 5), range(0, 3)], [-2, 3, -1], -3, 4),
             ([range(0, 4), range(0, 4)], [1, 1], 3, 2),  # an empty window
             ([range(2, 2), range(0, 3)], [1, 1], -9, 9),  # an empty range
+            # a frame per coordinate would overflow at 2,000
+            ([range(1, 2)] * 2000, [1] * 2000, 2000, 2000),
         ],
     )
     def test_edge_cases_match_the_reference(self, ranges, weights, lo, hi):
