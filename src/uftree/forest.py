@@ -12,11 +12,13 @@ enumerators and mutator below supply the exhaustive and negative corpora.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import FormatError
-from .tree import NO_PARENT, RankedTree, collapse, merge, singleton, validate
+from .tree import NO_PARENT, NodeId, RankedTree, collapse, merge, singleton, validate
 
 
 @dataclass(frozen=True)
@@ -329,28 +331,36 @@ def mutate(t: RankedTree, seed: int) -> RankedTree:
     candidate exists (for instance on a rank-0 singleton).
     """
     validate(t).raise_if_invalid()
+    n = t.node_count
     table = t.child_table()
-    candidates: list[tuple] = []
-    for x in range(t.node_count):
+    bumps: list[tuple[NodeId, int]] = []
+    for x in range(n):
         p = t.parent[x]
         if p != NO_PARENT and t.rank[x] + 1 < t.rank[p]:
-            candidates.append(("bump-up", x))
+            bumps.append((x, 1))
         floor = max((t.rank[c] for c in table[x]), default=-1)
         if t.rank[x] - 1 > floor and t.rank[x] - 1 >= 0:
-            candidates.append(("bump-down", x))
-    for x in range(t.node_count):
-        for p in range(t.node_count):
-            if p != t.parent[x] and t.rank[x] < t.rank[p]:
-                candidates.append(("reparent", x, p))
-    if not candidates:
+            bumps.append((x, -1))
+    # Reparentings are counted, not listed: x may move below every strictly
+    # higher-ranked node but its parent, which a valid tree ranks above it.
+    ranks = sorted(t.rank)
+    moves = [n - bisect_right(ranks, r) - (p != NO_PARENT) for p, r in zip(t.parent, t.rank)]
+    total = len(bumps) + sum(moves)
+    if not total:
         raise ValueError("tree admits no legal mutation")
-    choice = random.Random(seed).choice(candidates)
+    # the index choice() would draw from the list of every candidate, bumps first
+    i = random.Random(seed).randrange(total)
     parent = list(t.parent)
     rank = list(t.rank)
-    if choice[0] == "bump-up":
-        rank[choice[1]] += 1
-    elif choice[0] == "bump-down":
-        rank[choice[1]] -= 1
+    if i < len(bumps):
+        x, delta = bumps[i]
+        rank[x] += delta
     else:
-        parent[choice[1]] = choice[2]
+        i -= len(bumps)
+        x = 0
+        while i >= moves[x]:
+            i -= moves[x]
+            x += 1
+        higher = (p for p in range(n) if p != t.parent[x] and t.rank[x] < t.rank[p])
+        parent[x] = next(islice(higher, i, None))
     return RankedTree(tuple(parent), tuple(rank))

@@ -86,14 +86,13 @@ def satisfies_union_condition(t: RankedTree, x: NodeId) -> bool:
 def is_union_tree(t: RankedTree) -> bool:
     """Linear check that every node satisfies the Union condition.
 
-    Assumes a valid tree, where children ranks already sit below the parent
-    rank; the condition then reduces to counting distinct child ranks.
+    Assumes a valid tree, where children ranks already sit in 0..rank-1, so
+    a node has at most rank distinct child ranks and the condition holds
+    iff it has exactly rank of them.  Counted over every node at once: the
+    distinct (parent, rank) pairs, the root's pair among them, number the
+    rank sum plus one.
     """
-    distinct: list[set[int]] = [set() for _ in range(t.node_count)]
-    for c, p in enumerate(t.parent):
-        if p != NO_PARENT:
-            distinct[p].add(t.rank[c])
-    return all(len(d) == r for d, r in zip(distinct, t.rank))
+    return len(set(zip(t.parent, t.rank))) == sum(t.rank) + 1
 
 
 def count_filter(t: RankedTree) -> bool:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 
 from .errors import CapExceeded, FormatError, InvalidTreeError
 
@@ -147,6 +149,22 @@ def validate(t: RankedTree) -> ValidationResult:
     violated invariant and the offending node.
     """
     n = t.node_count
+    parent, rank = t.parent, t.rank
+    # Whole-array passes accept every valid tree.  Ranks strictly rise along
+    # a parent chain, so with one root, in-range parents and decreasing ranks
+    # there is no cycle; only a tree that fails them walks its chains below,
+    # which find the first violation.  The sentinel rank above the cap is
+    # what the root's parent -1 reads.
+    if (
+        parent.count(NO_PARENT) == 1
+        and NO_PARENT <= min(parent)
+        and max(parent) < n
+        and 0 <= min(rank)
+        and max(rank) <= RANK_CAP
+        and all(map(lt, rank, map((*rank, RANK_CAP + 1).__getitem__, parent)))
+    ):
+        return ValidationResult(True)
+
     root = None
     for x, p in enumerate(t.parent):
         if p == NO_PARENT:
@@ -358,17 +376,11 @@ def serialize_tree(t: RankedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tree_with_map(
-    text: str, max_nodes: int | None = None
-) -> tuple[RankedTree, dict[int, int]]:
-    """Parse the tree text format, re-densifying arbitrary node ids.
-
-    Returns the tree plus the mapping from original ids to dense ids.
-    Syntax problems raise :class:`FormatError` with a line number; trees
-    that parse but violate the invariants raise :class:`InvalidTreeError`.
-    A header count above ``max_nodes`` raises :class:`CapExceeded` before
-    any node line is read.
-    """
+def _parse(
+    text: str, max_nodes: int | None
+) -> tuple[RankedTree, dict[int, int] | None]:
+    """:func:`parse_tree_with_map`, with ``None`` for the map when the ids
+    are already 0..n-1."""
     lines = text.splitlines()
     pos = 0
     while pos < len(lines) and lines[pos].startswith("#"):
@@ -389,39 +401,79 @@ def parse_tree_with_map(
         raise FormatError(f"expected {n} node lines, found {len(body)}", len(lines) + 1)
     if any(extra.strip() for extra in body[n:]):
         raise FormatError("trailing content after node lines", pos + 1 + n + 1)
+    del body[n:]
 
-    rows: list[tuple[int, int, int]] = []
-    for i in range(n):
-        lineno = pos + 2 + i
-        fields = body[i].split()
-        if len(fields) != 3:
-            raise FormatError(f"expected 'id parent rank', got {body[i]!r}", lineno)
-        try:
-            row = (int(fields[0]), int(fields[1]), int(fields[2]))
-        except ValueError:
-            raise FormatError(f"non-integer field in {body[i]!r}", lineno) from None
-        if rows and row[0] <= rows[-1][0]:
-            raise FormatError(f"node ids must be strictly increasing at id {row[0]}", lineno)
-        rows.append(row)
+    # One split over every node line, with a ";" token between lines.  If
+    # there are 4n - 1 tokens and the 3n outside every fourth slot are all
+    # ints, the n - 1 separators fill those slots: three fields a line.
+    tokens = " ; ".join(body).split()
+    try:
+        if len(tokens) != 4 * n - 1:
+            raise ValueError
+        ids = tuple(map(int, tokens[0::4]))
+        parents = tuple(map(int, tokens[1::4]))
+        rank = tuple(map(int, tokens[2::4]))
+    except ValueError:
+        ids = None
+    del tokens
+    if ids is None or not all(map(lt, ids, islice(ids, 1, None))):
+        raise _node_line_error(body, pos + 2)
 
-    id_map = {orig: dense for dense, (orig, _, _) in enumerate(rows)}
-    parent = []
-    for i, (orig, par, _) in enumerate(rows):
-        if par == NO_PARENT:
-            parent.append(NO_PARENT)
-        elif par in id_map:
-            parent.append(id_map[par])
-        else:
-            raise FormatError(f"unknown parent id {par}", pos + 2 + i)
-    rank = tuple(r for _, _, r in rows)
+    if ids[0] == 0 and ids[-1] == n - 1:  # strictly increasing: exactly 0..n-1
+        id_map = None
+        parent = parents
+        known = NO_PARENT <= min(parents) and max(parents) < n
+    else:
+        id_map = dict(zip(ids, range(n)))
+        parent = tuple(map({**id_map, NO_PARENT: NO_PARENT}.get, parents))
+        known = None not in parent
+    if not known:
+        present = set(ids)
+        i = next(i for i, p in enumerate(parents) if p != NO_PARENT and p not in present)
+        raise FormatError(f"unknown parent id {parents[i]}", pos + 2 + i)
 
-    tree = RankedTree(tuple(parent), rank)
+    tree = RankedTree(parent, rank)
     validate(tree).raise_if_invalid()
     return tree, id_map
 
 
+def _node_line_error(lines: list[str], first_lineno: int) -> FormatError:
+    """The error of the first node line that is not three integer fields
+    with an id above the previous line's."""
+    previous = None
+    for lineno, line in enumerate(lines, first_lineno):
+        fields = line.split()
+        if len(fields) != 3:
+            return FormatError(f"expected 'id parent rank', got {line!r}", lineno)
+        try:
+            node, _, _ = map(int, fields)
+        except ValueError:
+            return FormatError(f"non-integer field in {line!r}", lineno)
+        if previous is not None and node <= previous:
+            return FormatError(f"node ids must be strictly increasing at id {node}", lineno)
+        previous = node
+    raise AssertionError("every node line is well formed")
+
+
+def parse_tree_with_map(
+    text: str, max_nodes: int | None = None
+) -> tuple[RankedTree, dict[int, int]]:
+    """Parse the tree text format, re-densifying arbitrary node ids.
+
+    Returns the tree plus the mapping from original ids to dense ids.
+    Syntax problems raise :class:`FormatError` with a line number; trees
+    that parse but violate the invariants raise :class:`InvalidTreeError`.
+    A header count above ``max_nodes`` raises :class:`CapExceeded` before
+    any node line is read.
+    """
+    tree, id_map = _parse(text, max_nodes)
+    if id_map is None:
+        id_map = dict(zip(range(tree.node_count), range(tree.node_count)))
+    return tree, id_map
+
+
 def parse_tree(text: str, max_nodes: int | None = None) -> RankedTree:
-    return parse_tree_with_map(text, max_nodes)[0]
+    return _parse(text, max_nodes)[0]
 
 
 def export_dot(t: RankedTree) -> str:

@@ -7,7 +7,16 @@ import random
 
 from hypothesis import strategies as st
 
-from uftree.tree import RankedTree, canonical_key, merge, singleton
+from uftree.errors import CapExceeded, FormatError
+from uftree.tree import (
+    NO_PARENT,
+    RANK_CAP,
+    RankedTree,
+    ValidationResult,
+    canonical_key,
+    merge,
+    singleton,
+)
 
 # Pipeline fixture pair: a 9-node tree whose rank-1 child x carries four
 # leaves (z is one of them), and a 3-node tree rooted at y.
@@ -156,4 +165,118 @@ def ranked_trees(draw, max_nodes: int = 9, max_extra_rank: int = 2):
     rank[0] = height[0] + draw(st.integers(min_value=0, max_value=max_extra_rank))
     for i in range(1, n):
         rank[i] = draw(st.integers(min_value=height[i], max_value=rank[parent[i]] - 1))
+    return RankedTree(tuple(parent), tuple(rank))
+
+
+# Reference copies of the per-node validator and node-line parser that the
+# whole-array passes in uftree.tree replaced; the differential tests hold
+# the library to their results, messages and line numbers.
+
+
+def reference_validate(t: RankedTree) -> ValidationResult:
+    n = t.node_count
+    root = None
+    for x, p in enumerate(t.parent):
+        if p == NO_PARENT:
+            if root is not None:
+                return ValidationResult(False, "multiple-roots", x)
+            root = x
+        elif not 0 <= p < n:
+            return ValidationResult(False, "dangling-parent", x)
+        elif p == x:
+            return ValidationResult(False, "cyclic-parent-chain", x)
+    if root is None:
+        return ValidationResult(False, "no-root", None)
+
+    state = [0] * n  # 0 unvisited, 1 on current chain, 2 done
+    for x in range(n):
+        if state[x]:
+            continue
+        chain = []
+        y = x
+        while y != NO_PARENT and state[y] == 0:
+            state[y] = 1
+            chain.append(y)
+            y = t.parent[y]
+        if y != NO_PARENT and state[y] == 1:
+            return ValidationResult(False, "cyclic-parent-chain", y)
+        for node in chain:
+            state[node] = 2
+
+    for x, r in enumerate(t.rank):
+        if r < 0:
+            return ValidationResult(False, "negative-rank", x)
+        if r > RANK_CAP:
+            return ValidationResult(False, "rank-above-cap", x)
+    for x, p in enumerate(t.parent):
+        if p != NO_PARENT and t.rank[x] >= t.rank[p]:
+            return ValidationResult(False, "rank-not-decreasing", x)
+    return ValidationResult(True)
+
+
+def reference_parse_tree_with_map(
+    text: str, max_nodes: int | None = None
+) -> tuple[RankedTree, dict[int, int]]:
+    lines = text.splitlines()
+    pos = 0
+    while pos < len(lines) and lines[pos].startswith("#"):
+        pos += 1
+    if pos >= len(lines):
+        raise FormatError("missing header line", pos + 1)
+    header = lines[pos]
+    try:
+        n = int(header)
+    except ValueError:
+        raise FormatError(f"header must be a node count, got {header!r}", pos + 1) from None
+    if n < 1:
+        raise FormatError(f"node count must be positive, got {n}", pos + 1)
+    if max_nodes is not None and n > max_nodes:
+        raise CapExceeded(f"tree has {n} nodes, cap is {max_nodes}")
+    body = lines[pos + 1 :]
+    if len(body) < n:
+        raise FormatError(f"expected {n} node lines, found {len(body)}", len(lines) + 1)
+    if any(extra.strip() for extra in body[n:]):
+        raise FormatError("trailing content after node lines", pos + 1 + n + 1)
+
+    rows: list[tuple[int, int, int]] = []
+    for i in range(n):
+        lineno = pos + 2 + i
+        fields = body[i].split()
+        if len(fields) != 3:
+            raise FormatError(f"expected 'id parent rank', got {body[i]!r}", lineno)
+        try:
+            row = (int(fields[0]), int(fields[1]), int(fields[2]))
+        except ValueError:
+            raise FormatError(f"non-integer field in {body[i]!r}", lineno) from None
+        if rows and row[0] <= rows[-1][0]:
+            raise FormatError(f"node ids must be strictly increasing at id {row[0]}", lineno)
+        rows.append(row)
+
+    id_map = {orig: dense for dense, (orig, _, _) in enumerate(rows)}
+    parent = []
+    for i, (orig, par, _) in enumerate(rows):
+        if par == NO_PARENT:
+            parent.append(NO_PARENT)
+        elif par in id_map:
+            parent.append(id_map[par])
+        else:
+            raise FormatError(f"unknown parent id {par}", pos + 2 + i)
+    rank = tuple(r for _, _, r in rows)
+
+    tree = RankedTree(tuple(parent), rank)
+    reference_validate(tree).raise_if_invalid()
+    return tree, id_map
+
+
+def random_valid_tree(rng: random.Random, n: int, slack: int = 2) -> RankedTree:
+    """A valid ranked tree on n nodes: each node's parent an earlier node,
+    ranks top-down with up to ``slack`` spare rank per edge, so child ranks
+    repeat and leave gaps."""
+    parent = [-1] + [rng.randrange(i) for i in range(1, n)]
+    height = [0] * n
+    for x in range(n - 1, 0, -1):
+        height[parent[x]] = max(height[parent[x]], height[x] + 1)
+    rank = [height[0] + rng.randint(0, slack)] + [0] * (n - 1)
+    for x in range(1, n):
+        rank[x] = rng.randint(height[x], rank[parent[x]] - 1)
     return RankedTree(tuple(parent), tuple(rank))

@@ -3,7 +3,9 @@
 import pytest
 
 from support import many_needy_classes, many_repairs, wide_tree
+from uftree import cli, recognize, tree
 from uftree.cli import main
+from uftree.forest import random_uf_tree
 from uftree.recognize import check_certificate, parse_certificate
 from uftree.reduction import make_flat_tree, parse_instance
 from uftree.tree import parse_tree, serialize_tree, singleton
@@ -50,6 +52,24 @@ class TestCheck:
         cert = parse_certificate(capsys.readouterr().out)
         assert check_certificate(flat.tree, cert)
         assert len(cert.steps) <= flat.tree.node_count**2
+
+    def test_union_mode_reaches_each_layer_once(self, tmp_path, monkeypatch):
+        # per-layer timings wrap these module globals; a layer reached some
+        # other way would read zero
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in ((cli, "parse_tree"), (tree, "validate"), (recognize, "is_union_tree")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        path = write_tree(tmp_path, random_uf_tree(300, 0, collapse_prob=0.0))
+        assert main(["check", path, "--mode", "union"]) == 0
+        assert sorted(calls) == ["is_union_tree", "parse_tree", "validate"]
 
     def test_parse_error_is_usage(self, tmp_path):
         path = tmp_path / "bad.tree"
@@ -205,8 +225,6 @@ class TestOracleAndDot:
         assert main(["oracle", path]) == 3
 
     def test_oracle_cap_override(self, tmp_path):
-        from uftree.forest import random_uf_tree
-
         path = write_tree(tmp_path, random_uf_tree(12, seed=1))
         assert main(["--max-nodes", "12", "oracle", path]) == 0
 

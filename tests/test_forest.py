@@ -1,5 +1,8 @@
 """Forest engine: replay semantics, exports, generators, enumeration, mutation."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,6 +206,35 @@ class TestMutate:
     def test_deterministic(self):
         t = random_uf_tree(12, seed=4)
         assert mutate(t, seed=1) == mutate(t, seed=1)
+
+    def test_draws_are_pinned(self):
+        # one digest over seeded outputs, taken when mutate listed every
+        # candidate and drew one with Random(seed).choice
+        trees = [(random_uf_tree(n, s), s) for n in (1, 2, 3, 5, 10, 40, 200) for s in range(30)]
+        trees += [(t, i) for i, t in enumerate(enumerate_trees(6))]
+        digest = hashlib.sha256()
+        for t, seed in trees:
+            try:
+                m = mutate(t, seed)
+            except ValueError:
+                digest.update(b"none")
+            else:
+                digest.update(repr((m.parent, m.rank)).encode())
+        assert digest.hexdigest() == (
+            "af5b6344486f845e62a6184c442bff58289dc71d90ae4def19775ee7791c6978"
+        )
+
+    def test_memory_stays_linear(self):
+        # listing one candidate per (node, higher-ranked node) pair peaked
+        # at ~400 MB here
+        t = random_uf_tree(4000, 0)
+        tracemalloc.start()
+        try:
+            assert validate(mutate(t, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_reparenting_needs_no_descendant_walk(self, monkeypatch):
         # ranks strictly decrease downward, so a higher-ranked node is never

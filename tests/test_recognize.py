@@ -12,6 +12,7 @@ from support import (
     many_needy_classes,
     many_repairs,
     merge_constructible,
+    random_valid_tree,
     ranked_trees,
     relabel,
     star,
@@ -112,6 +113,20 @@ class TestIsUnionTree:
         keys = union_trees_upto(6)
         for t in enumerate_trees(6):
             assert is_union_tree(t) == merge_constructible(t, keys), (t.parent, t.rank)
+
+    def test_matches_the_definition(self):
+        # random trees repeat child ranks and leave gaps; engine trees built
+        # by merges alone, relabeled, are Union trees
+        rng = random.Random(0)
+        trees = list(enumerate_trees(7))
+        trees += [random_valid_tree(rng, rng.randint(1, 40), rng.randint(0, 2)) for _ in range(300)]
+        trees += [relabel(random_uf_tree(n, s, collapse_prob=0.0), s) for n in (5, 40) for s in range(20)]
+        verdicts = []
+        for t in trees:
+            expected = all(satisfies_union_condition(t, x) for x in range(t.node_count))
+            assert is_union_tree(t) == expected, (t.parent, t.rank)
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestCountFilter:

@@ -1,13 +1,27 @@
 """Core tree model: validation, merge/collapse/push, ordering, canonical forms, text."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
-from support import S_TREE, T_TREE, X_NODE, Y_NODE_MERGED, Z_NODE, chain, ranked_trees, star
+from support import (
+    S_TREE,
+    T_TREE,
+    X_NODE,
+    Y_NODE_MERGED,
+    Z_NODE,
+    chain,
+    random_valid_tree,
+    ranked_trees,
+    reference_parse_tree_with_map,
+    reference_validate,
+    star,
+)
 from uftree.errors import CapExceeded, FormatError, InvalidTreeError
 from uftree.tree import (
+    RANK_CAP,
     RankedTree,
     canonical_form,
     canonical_key,
@@ -69,6 +83,60 @@ class TestValidate:
     def test_raise_if_invalid(self):
         with pytest.raises(InvalidTreeError, match="rank-not-decreasing"):
             validate(RankedTree((-1, 0), (1, 1))).raise_if_invalid()
+
+
+def defective_arrays(rng: random.Random) -> RankedTree:
+    """Parent and rank arrays of a random valid tree, shuffled, with up to
+    three defects: extra roots, self-loops, dangling parents, repointed
+    parents (cycles, lost roots) and negative, over-cap or raised ranks."""
+    n = rng.randint(1, 12)
+    t = random_valid_tree(rng, n)
+    parent, rank = list(t.parent), list(t.rank)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        x = rng.randrange(n)
+        kind = rng.randrange(7)
+        if kind == 0:
+            parent[x] = -1
+        elif kind == 1:
+            parent[x] = x
+        elif kind == 2:
+            parent[x] = rng.choice((n, n + 3, -2))
+        elif kind == 3:
+            parent[x] = rng.randrange(n)
+        elif kind == 4:
+            rank[x] = rng.choice((-1, -5))
+        elif kind == 5:
+            rank[x] = rng.choice((RANK_CAP, RANK_CAP + 1, RANK_CAP + 7))
+        else:
+            rank[x] = rng.randint(0, 4)
+    new_id = list(range(n))
+    rng.shuffle(new_id)
+    shuffled_parent, shuffled_rank = [0] * n, [0] * n
+    for x, p in enumerate(parent):
+        shuffled_parent[new_id[x]] = new_id[p] if 0 <= p < n else p
+        shuffled_rank[new_id[x]] = rank[x]
+    return RankedTree(tuple(shuffled_parent), tuple(shuffled_rank))
+
+
+class TestValidateMatchesPerNodeReference:
+    def test_random_defects(self):
+        rng = random.Random(0)
+        reasons = set()
+        for _ in range(4000):
+            t = defective_arrays(rng)
+            expected = reference_validate(t)
+            assert validate(t) == expected, (t.parent, t.rank)
+            reasons.add(expected.reason)
+        assert reasons == {
+            None,
+            "multiple-roots",
+            "no-root",
+            "dangling-parent",
+            "cyclic-parent-chain",
+            "negative-rank",
+            "rank-above-cap",
+            "rank-not-decreasing",
+        }
 
 
 class TestMerge:
@@ -350,6 +418,110 @@ class TestTextFormat:
     @given(ranked_trees())
     def test_parse_serialize_identity(self, t):
         assert parse_tree(serialize_tree(t)) == t
+
+
+def parse_outcome(parse, text):
+    """What a parser returns, or the type, message and line of what it raises."""
+    try:
+        return parse(text)
+    except (FormatError, InvalidTreeError, CapExceeded) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def tree_text(rng: random.Random, t: RankedTree) -> tuple[list[str], list[list[str]]]:
+    """Header lines and node-line fields of t, with dense or sparse ids."""
+    n = t.node_count
+    if rng.random() < 0.5:
+        ids = list(range(n))
+    else:
+        ids = sorted(rng.sample(range(-3 * n, 3 * n), n))
+    rows = [
+        [str(ids[x]), str(-1 if p == -1 else ids[p]), str(t.rank[x])]
+        for x, p in enumerate(t.parent)
+    ]
+    head = ["# tree"] * rng.randint(0, 1) + [str(n)]
+    return head, rows
+
+
+def malformed_text(rng: random.Random) -> str:
+    """A random tree's text with up to two defects and varied whitespace."""
+    t = random_valid_tree(rng, rng.randint(1, 10))
+    head, rows = tree_text(rng, t)
+    n = len(rows)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(8)
+        if not rows[i] or not rows[j]:
+            continue
+        if kind == 0:  # one field moves to another line: balanced counts
+            rows[j].append(rows[i].pop())
+        elif kind == 1:
+            rows[i].pop()
+        elif kind == 2:
+            rows[i].append(rng.choice(("0", "x")))
+        elif kind == 3:
+            rows[i][rng.randrange(len(rows[i]))] = rng.choice(("x", "1.0", ";", "0x1", "--1"))
+        elif kind == 4:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 5:
+            rows[i][0] = rows[j][0]
+        elif kind == 6:
+            rows[i][1 % len(rows[i])] = str(rng.choice((n, -2, 7 * n)))
+        else:
+            rows[i][-1] = str(rng.randint(0, 3))
+    if rng.random() < 0.1:
+        head[-1] = str(n + rng.choice((-1, 1)))
+    seps = (" ", "  ", "\t", " \t ")
+    lines = [
+        rng.choice(("", " ", "\t")) + rng.choice(seps).join(row) + rng.choice(("", " ", "\t "))
+        for row in rows
+    ]
+    return rng.choice(("\n", "\r\n")).join(head + lines) + "\n" * rng.randint(0, 2)
+
+
+class TestParseMatchesPerLineReference:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n0 -1\n1 0 0 0\n",  # a 2-field line, then a 4-field line
+            "3\n0 -1 1\n1 0\n2 1 0 0\n",
+            "2\n0\t-1\t1\n1\t0\t0\n",
+            "2\n0   -1     1\n  1  0  0\n",
+            "2\n0 -1 1 \t\n1 0 0   \n",
+            "3\n5 -1 2\n10 5 1\n20 11 0\n",  # sparse ids, unknown parent
+            "3\n0 -1 2\n1 0 1\n2 3 0\n",  # dense ids, parent n
+            "3\n0 -1 2\n1 -2 1\n2 1 0\n",
+            "3\n-1 -1 2\n0 -1 1\n1 0 0\n",  # id -1 but parent -1 is no parent
+            "2\n0 -1 1\n1 0 ;\n",
+            "2\n0 -1 1 ;\n1 0\n",
+            "1\n0 -1 0\n\n  \n",
+            "2\n0 -1 1\n1 0 0\nextra\n",
+            "2\n0 -1 1\n",
+            "2\n0 +0 1\n1_0 0 0\n",
+        ],
+    )
+    def test_fixed_texts(self, text):
+        assert parse_outcome(parse_tree_with_map, text) == parse_outcome(
+            reference_parse_tree_with_map, text
+        )
+
+    def test_random_texts(self):
+        kinds = (
+            "expected 'id parent rank'",
+            "non-integer field",
+            "node ids must be strictly increasing",
+            "unknown parent id",
+            "rank-not-decreasing",
+        )
+        rng = random.Random(0)
+        seen = set()
+        for _ in range(3000):
+            text = malformed_text(rng)
+            expected = parse_outcome(reference_parse_tree_with_map, text)
+            assert parse_outcome(parse_tree_with_map, text) == expected, text
+            message = "" if isinstance(expected[0], RankedTree) else expected[1]
+            seen.update(kind for kind in kinds if kind in message)
+        assert seen == set(kinds)
 
 
 class TestDot:
