@@ -10,9 +10,6 @@ import random
 import time
 
 from uftree import (
-    Find,
-    MakeSet,
-    Union,
     brute_force_is_uf,
     enumerate_trees,
     export_trees,
@@ -27,8 +24,9 @@ from uftree import (
 
 
 def main() -> None:
-    log = [MakeSet(8), Union(0, 1), Union(2, 3), Union(0, 2), Union(4, 5),
-           Union(6, 7), Union(4, 6), Union(0, 4), Find(7)]
+    log = [("makeset", 8), ("union", 0, 1), ("union", 2, 3), ("union", 0, 2),
+           ("union", 4, 5), ("union", 6, 7), ("union", 4, 6), ("union", 0, 4),
+           ("find", 7)]
     print("Op log:")
     print(format_oplog(log), end="")
     print()

@@ -13,10 +13,7 @@ ground-truth positive instances.
 from .errors import CapExceeded, FormatError, InvalidTreeError
 from .forest import (
     ExportedTree,
-    Find,
     Forest,
-    MakeSet,
-    Union,
     enumerate_trees,
     export_trees,
     format_oplog,
@@ -79,17 +76,14 @@ __all__ = [
     "CapExceeded",
     "Certificate",
     "ExportedTree",
-    "Find",
     "FlatTree",
     "Forest",
     "FormatError",
     "InvalidTreeError",
-    "MakeSet",
     "PartitionInstance",
     "PartitionSolution",
     "RankedTree",
     "ReductionReport",
-    "Union",
     "ValidationResult",
     "Verdict",
     "brute_force_is_uf",

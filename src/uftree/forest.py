@@ -7,6 +7,9 @@ finds are what introduce compressions.  Exported trees therefore land in
 the class the recognizer accepts, which is the whole point: the engine is
 the ground-truth positive generator for the recognition code, and the
 enumerators and mutator below supply the exhaustive and negative corpora.
+
+An op log is a list of plain tuples, the words of its text lines with the
+operands as ints: ``("makeset", n)``, ``("union", a, b)``, ``("find", a)``.
 """
 
 from __future__ import annotations
@@ -19,25 +22,6 @@ from itertools import islice
 
 from .errors import FormatError
 from .tree import NO_PARENT, NodeId, RankedTree, collapse, merge, singleton, validate
-
-
-@dataclass(frozen=True)
-class MakeSet:
-    count: int
-
-
-@dataclass(frozen=True)
-class Union:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Find:
-    element: int
-
-
-Op = MakeSet | Union | Find
 
 
 class Forest:
@@ -55,29 +39,24 @@ class Forest:
     def element_count(self) -> int:
         return len(self.parent)
 
-    def check_element(self, x: int) -> None:
-        if not 0 <= x < self.element_count:
-            raise ValueError(f"out-of-range element {x}")
-
-    def make_set_block(self, count: int) -> None:
+    def makeset(self, count: int) -> None:
+        """Add ``count`` singleton elements after the existing ones."""
         if count < 1:
             raise ValueError(f"make-set block size must be positive, got {count}")
-        start = self.element_count
+        start = len(self.parent)
         self.parent.extend(range(start, start + count))
         self.rank.extend([0] * count)
 
-    def root_of(self, x: int) -> int:
-        """Root of x's tree, without touching the structure."""
-        self.check_element(x)
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
     def find(self, x: int) -> int:
         """Root of x's tree, reattaching x and all its ancestors to the root."""
-        root = self.root_of(x)
+        parent = self.parent
+        if not 0 <= x < len(parent):
+            raise ValueError(f"out-of-range element {x}")
+        root = x
+        while parent[root] != root:
+            root = parent[root]
         while x != root:
-            self.parent[x], x = root, self.parent[x]
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a: int, b: int) -> None:
@@ -88,68 +67,76 @@ class Forest:
         are located without path compression, so a find-free history is a
         pure merge composition.
         """
-        ra, rb = self.root_of(a), self.root_of(b)
-        if ra == rb:
+        parent, rank = self.parent, self.rank
+        n = len(parent)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"out-of-range element {b if 0 <= a < n else a}")
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             return
-        if self.rank[ra] < self.rank[rb]:
-            self.parent[ra] = rb
+        if rank[a] < rank[b]:
+            parent[a] = b
         else:
-            self.parent[rb] = ra
-            if self.rank[ra] == self.rank[rb]:
-                self.rank[ra] += 1
+            parent[b] = a
+            if rank[a] == rank[b]:
+                rank[a] += 1
 
 
 def replay(log: list) -> Forest:
-    """Apply an op log to a fresh forest; the log must start with a MakeSet."""
-    if not log or not isinstance(log[0], MakeSet):
+    """Apply an op log to a fresh forest; the log must start with a make-set."""
+    if not log or log[0][0] != "makeset":
         raise ValueError("op log must start with a make-set block")
     forest = Forest()
+    makeset, union, find = forest.makeset, forest.union, forest.find
     for op in log:
-        if isinstance(op, MakeSet):
-            forest.make_set_block(op.count)
-        elif isinstance(op, Union):
-            forest.union(op.a, op.b)
-        elif isinstance(op, Find):
-            forest.find(op.element)
+        kind = op[0]
+        if kind == "union":
+            union(op[1], op[2])
+        elif kind == "find":
+            find(op[1])
+        elif kind == "makeset":
+            makeset(op[1])
         else:
             raise ValueError(f"unknown op {op!r}")
     return forest
 
 
 def parse_oplog(text: str) -> list:
-    """Parse the op log format: "makeset n" / "union a b" / "find a" lines."""
+    """Parse the op log format: "makeset n" / "union a b" / "find a" lines.
+
+    Each op is the tuple of its line's words with the operands as ints.  The
+    kinds are the literals below, not the split-out words, so a long log
+    holds three kind strings rather than one per op.
+    """
     log = []
+    append = log.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
         try:
-            if fields[0] == "makeset" and len(fields) == 2:
-                log.append(MakeSet(int(fields[1])))
-            elif fields[0] == "union" and len(fields) == 3:
-                log.append(Union(int(fields[1]), int(fields[2])))
-            elif fields[0] == "find" and len(fields) == 2:
-                log.append(Find(int(fields[1])))
-            else:
-                raise FormatError(f"unknown op {line!r}", lineno)
+            match raw.split():
+                case ["union", a, b]:
+                    append(("union", int(a), int(b)))
+                case ["find", x]:
+                    append(("find", int(x)))
+                case ["makeset", count]:
+                    append(("makeset", int(count)))
+                case []:
+                    pass
+                case [word, *_] if word[0] == "#":
+                    pass
+                case _:
+                    raise ValueError
         except ValueError:
-            raise FormatError(f"non-integer field in {line!r}", lineno) from None
+            # an unknown word or a wrong field count reads like a bad operand
+            raise FormatError(f"non-integer field in {raw.strip()!r}", lineno) from None
     return log
 
 
 def format_oplog(log: list) -> str:
-    lines = []
-    for op in log:
-        if isinstance(op, MakeSet):
-            lines.append(f"makeset {op.count}")
-        elif isinstance(op, Union):
-            lines.append(f"union {op.a} {op.b}")
-        elif isinstance(op, Find):
-            lines.append(f"find {op.element}")
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    return "\n".join(lines) + "\n" if lines else ""
+    """The op log text of ``log``: each op's words, one op per line."""
+    return "".join(" ".join(map(str, op)) + "\n" for op in log)
 
 
 @dataclass(frozen=True)
@@ -162,18 +149,25 @@ class ExportedTree:
 
 def export_trees(forest: Forest) -> list[ExportedTree]:
     """One ranked tree per root, ordered by root element."""
+    parent, rank = forest.parent, forest.rank
+    # One pass over a copy of parent resolves each element's root; the
+    # elements before x already point at theirs, which shortens x's walk.
+    # Members are appended in ascending order.
+    root = parent[:]
     members: dict[int, list[int]] = {}
-    for x in range(forest.element_count):
-        members.setdefault(forest.root_of(x), []).append(x)
+    for x, r in enumerate(root):
+        while root[r] != r:
+            r = root[r]
+        root[x] = r
+        members.setdefault(r, []).append(x)
     out = []
-    for root in sorted(members):
-        elements = sorted(members[root])
-        to_new = {e: i for i, e in enumerate(elements)}
-        parent = tuple(
-            NO_PARENT if e == root else to_new[forest.parent[e]] for e in elements
-        )
-        rank = tuple(forest.rank[e] for e in elements)
-        out.append(ExportedTree(RankedTree(parent, rank), tuple(elements)))
+    for r in sorted(members):
+        elements = members[r]
+        to_new = dict(zip(elements, range(len(elements))))
+        tree_parent = list(map(to_new.__getitem__, map(parent.__getitem__, elements)))
+        tree_parent[to_new[r]] = NO_PARENT
+        tree_rank = tuple(map(rank.__getitem__, elements))
+        out.append(ExportedTree(RankedTree(tree_parent, tree_rank), tuple(elements)))
     return out
 
 
@@ -184,12 +178,12 @@ def random_oplog(
     if n < 1:
         raise ValueError("need at least one element")
     rng = random.Random(seed)
-    log: list = [MakeSet(n)]
+    log: list = [("makeset", n)]
     for _ in range(op_count):
         if rng.random() < find_fraction:
-            log.append(Find(rng.randrange(n)))
+            log.append(("find", rng.randrange(n)))
         else:
-            log.append(Union(rng.randrange(n), rng.randrange(n)))
+            log.append(("union", rng.randrange(n), rng.randrange(n)))
     return log
 
 

@@ -425,6 +425,8 @@ def _parse(
         known = NO_PARENT <= min(parents) and max(parents) < n
     else:
         id_map = dict(zip(ids, range(n)))
+        if NO_PARENT in id_map:
+            raise _node_line_error(body, pos + 2)
         parent = tuple(map({**id_map, NO_PARENT: NO_PARENT}.get, parents))
         known = None not in parent
     if not known:
@@ -439,7 +441,8 @@ def _parse(
 
 def _node_line_error(lines: list[str], first_lineno: int) -> FormatError:
     """The error of the first node line that is not three integer fields
-    with an id above the previous line's."""
+    with an id above the previous line's and other than -1, which as a
+    parent means "none"."""
     previous = None
     for lineno, line in enumerate(lines, first_lineno):
         fields = line.split()
@@ -451,6 +454,8 @@ def _node_line_error(lines: list[str], first_lineno: int) -> FormatError:
             return FormatError(f"non-integer field in {line!r}", lineno)
         if previous is not None and node <= previous:
             return FormatError(f"node ids must be strictly increasing at id {node}", lineno)
+        if node == NO_PARENT:
+            return FormatError(f"node id {NO_PARENT} is reserved for 'no parent'", lineno)
         previous = node
     raise AssertionError("every node line is well formed")
 
@@ -458,7 +463,7 @@ def _node_line_error(lines: list[str], first_lineno: int) -> FormatError:
 def parse_tree_with_map(
     text: str, max_nodes: int | None = None
 ) -> tuple[RankedTree, dict[int, int]]:
-    """Parse the tree text format, re-densifying arbitrary node ids.
+    """Parse the tree text format, re-densifying arbitrary node ids but -1.
 
     Returns the tree plus the mapping from original ids to dense ids.
     Syntax problems raise :class:`FormatError` with a line number; trees

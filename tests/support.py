@@ -250,6 +250,8 @@ def reference_parse_tree_with_map(
             raise FormatError(f"non-integer field in {body[i]!r}", lineno) from None
         if rows and row[0] <= rows[-1][0]:
             raise FormatError(f"node ids must be strictly increasing at id {row[0]}", lineno)
+        if row[0] == NO_PARENT:
+            raise FormatError(f"node id {NO_PARENT} is reserved for 'no parent'", lineno)
         rows.append(row)
 
     id_map = {orig: dense for dense, (orig, _, _) in enumerate(rows)}
@@ -280,3 +282,107 @@ def random_valid_tree(rng: random.Random, n: int, slack: int = 2) -> RankedTree:
     for x in range(1, n):
         rank[x] = rng.randint(height[x], rank[parent[x]] - 1)
     return RankedTree(tuple(parent), tuple(rank))
+
+
+# Reference copies of the op-log parser and the forest engine as they were
+# when each op was a frozen dataclass, with the ops as tuples; the
+# equivalence tests hold the library to their ops, arrays, exports and
+# error messages.
+
+
+def reference_parse_oplog(text: str) -> list:
+    log = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            if fields[0] == "makeset" and len(fields) == 2:
+                log.append(("makeset", int(fields[1])))
+            elif fields[0] == "union" and len(fields) == 3:
+                log.append(("union", int(fields[1]), int(fields[2])))
+            elif fields[0] == "find" and len(fields) == 2:
+                log.append(("find", int(fields[1])))
+            else:
+                raise FormatError(f"unknown op {line!r}", lineno)
+        except ValueError:
+            raise FormatError(f"non-integer field in {line!r}", lineno) from None
+    return log
+
+
+class ReferenceForest:
+    def __init__(self):
+        self.parent: list[int] = []
+        self.rank: list[int] = []
+
+    @property
+    def element_count(self) -> int:
+        return len(self.parent)
+
+    def check_element(self, x: int) -> None:
+        if not 0 <= x < self.element_count:
+            raise ValueError(f"out-of-range element {x}")
+
+    def make_set_block(self, count: int) -> None:
+        if count < 1:
+            raise ValueError(f"make-set block size must be positive, got {count}")
+        start = self.element_count
+        self.parent.extend(range(start, start + count))
+        self.rank.extend([0] * count)
+
+    def root_of(self, x: int) -> int:
+        self.check_element(x)
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def find(self, x: int) -> int:
+        root = self.root_of(x)
+        while x != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.root_of(a), self.root_of(b)
+        if ra == rb:
+            return
+        if self.rank[ra] < self.rank[rb]:
+            self.parent[ra] = rb
+        else:
+            self.parent[rb] = ra
+            if self.rank[ra] == self.rank[rb]:
+                self.rank[ra] += 1
+
+
+def reference_replay(log: list) -> ReferenceForest:
+    if not log or log[0][0] != "makeset":
+        raise ValueError("op log must start with a make-set block")
+    forest = ReferenceForest()
+    for op in log:
+        if op[0] == "makeset":
+            forest.make_set_block(op[1])
+        elif op[0] == "union":
+            forest.union(op[1], op[2])
+        elif op[0] == "find":
+            forest.find(op[1])
+        else:
+            raise ValueError(f"unknown op {op!r}")
+    return forest
+
+
+def reference_export_trees(forest: ReferenceForest) -> list[tuple]:
+    """(tree, elements) per root, ordered by root element."""
+    members: dict[int, list[int]] = {}
+    for x in range(forest.element_count):
+        members.setdefault(forest.root_of(x), []).append(x)
+    out = []
+    for root in sorted(members):
+        elements = sorted(members[root])
+        to_new = {e: i for i, e in enumerate(elements)}
+        parent = tuple(
+            NO_PARENT if e == root else to_new[forest.parent[e]] for e in elements
+        )
+        rank = tuple(forest.rank[e] for e in elements)
+        out.append((RankedTree(parent, rank), tuple(elements)))
+    return out

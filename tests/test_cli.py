@@ -81,6 +81,18 @@ class TestCheck:
         path.write_text("2\n0 -1 0\n1 0 1\n")
         assert main(["check", str(path)]) == 2
 
+    def test_node_id_minus_one_is_a_format_error(self, tmp_path, capsys):
+        # a parent field of -1 always means "no parent", so no node could
+        # sit below a node with id -1; -2 is an ordinary id
+        path = tmp_path / "minus-one.tree"
+        path.write_text("3\n-1 -1 2\n0 -1 1\n1 0 0\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: node id -1 is reserved" in err
+        path.write_text("3\n-2 -1 2\n0 -2 1\n1 0 0\n")
+        assert main(["check", str(path)]) == 1  # parsed, then too small for rank 2
+        assert "union-find: filter-prop4" in capsys.readouterr().err
+
     def test_missing_file_is_usage(self):
         assert main(["check", "/nonexistent/file.tree"]) == 2
 

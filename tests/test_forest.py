@@ -1,18 +1,21 @@
 """Forest engine: replay semantics, exports, generators, enumeration, mutation."""
 
 import hashlib
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import chain
+from support import (
+    chain,
+    reference_export_trees,
+    reference_parse_oplog,
+    reference_replay,
+)
 from uftree.errors import FormatError
 from uftree.forest import (
-    Find,
-    MakeSet,
-    Union,
     enumerate_trees,
     export_trees,
     format_oplog,
@@ -28,13 +31,13 @@ from uftree.tree import RankedTree, canonical_key, collapse, merge, singleton, v
 
 class TestReplay:
     def test_single_union(self):
-        forest = replay([MakeSet(2), Union(0, 1)])
+        forest = replay([("makeset", 2), ("union", 0, 1)])
         [exported] = export_trees(forest)
         assert exported.tree.parent == (-1, 0)
         assert exported.tree.rank == (1, 0)
 
     def test_union_composition_matches_merges(self):
-        forest = replay([MakeSet(4), Union(0, 1), Union(2, 3), Union(0, 2)])
+        forest = replay([("makeset", 4), ("union", 0, 1), ("union", 2, 3), ("union", 0, 2)])
         [exported] = export_trees(forest)
         composed = merge(
             merge(singleton(), singleton()), merge(singleton(), singleton())
@@ -46,20 +49,20 @@ class TestReplay:
         # build a depth-3 node, then find() it: every ancestor reattaches
         forest = replay(
             [
-                MakeSet(8),
-                Union(0, 1), Union(2, 3), Union(0, 2),  # rank-2 tree at 0
-                Union(4, 5), Union(6, 7), Union(4, 6),  # rank-2 tree at 4
-                Union(0, 4),                            # rank-3 tree, 4 at depth 1
+                ("makeset", 8),
+                ("union", 0, 1), ("union", 2, 3), ("union", 0, 2),  # rank-2 tree at 0
+                ("union", 4, 5), ("union", 6, 7), ("union", 4, 6),  # rank-2 tree at 4
+                ("union", 0, 4),                                    # rank-3 tree, 4 at depth 1
             ]
         )
         assert forest.parent[6] == 4
         forest2 = replay(
             [
-                MakeSet(8),
-                Union(0, 1), Union(2, 3), Union(0, 2),
-                Union(4, 5), Union(6, 7), Union(4, 6),
-                Union(0, 4),
-                Find(7),
+                ("makeset", 8),
+                ("union", 0, 1), ("union", 2, 3), ("union", 0, 2),
+                ("union", 4, 5), ("union", 6, 7), ("union", 4, 6),
+                ("union", 0, 4),
+                ("find", 7),
             ]
         )
         # 7 and its former ancestors 6 and 4 now hang off the root
@@ -68,16 +71,16 @@ class TestReplay:
         assert forest2.parent[4] == 0
 
     def test_union_is_noop_within_class(self):
-        forest = replay([MakeSet(2), Union(0, 1), Union(1, 0), Union(0, 1)])
+        forest = replay([("makeset", 2), ("union", 0, 1), ("union", 1, 0), ("union", 0, 1)])
         assert forest.rank[0] == 1
 
     def test_requires_leading_makeset(self):
         with pytest.raises(ValueError, match="make-set"):
-            replay([Union(0, 1)])
+            replay([("union", 0, 1)])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out-of-range"):
-            replay([MakeSet(2), Union(0, 5)])
+            replay([("makeset", 2), ("union", 0, 5)])
 
     def test_deterministic(self):
         log = random_oplog(32, 100, seed=5)
@@ -99,17 +102,17 @@ class TestReplay:
 
 class TestExport:
     def test_fresh_forest_is_singletons(self):
-        exported = export_trees(replay([MakeSet(3)]))
+        exported = export_trees(replay([("makeset", 3)]))
         assert len(exported) == 3
         assert all(e.tree == singleton() for e in exported)
 
     def test_partial_union(self):
-        exported = export_trees(replay([MakeSet(3), Union(0, 1)]))
+        exported = export_trees(replay([("makeset", 3), ("union", 0, 1)]))
         assert len(exported) == 2
         assert {e.tree.node_count for e in exported} == {1, 2}
 
     def test_element_mapping(self):
-        exported = export_trees(replay([MakeSet(4), Union(3, 1)]))
+        exported = export_trees(replay([("makeset", 4), ("union", 3, 1)]))
         [pair] = [e for e in exported if e.tree.node_count == 2]
         assert pair.elements == (1, 3)
         assert pair.tree.rank[pair.elements.index(3)] == 1
@@ -117,18 +120,159 @@ class TestExport:
 
 class TestOpLogText:
     def test_round_trip(self):
-        log = [MakeSet(4), Union(0, 1), Find(1), Union(2, 3)]
+        log = [("makeset", 4), ("union", 0, 1), ("find", 1), ("union", 2, 3)]
         text = format_oplog(log)
         assert text == "makeset 4\nunion 0 1\nfind 1\nunion 2 3\n"
         assert parse_oplog(text) == log
 
     def test_comments_and_blanks_skipped(self):
-        assert parse_oplog("# log\n\nmakeset 1\n") == [MakeSet(1)]
+        assert parse_oplog("# log\n\nmakeset 1\n") == [("makeset", 1)]
 
     @pytest.mark.parametrize("line", ["makeset", "union 0", "find a b", "link 0 1"])
     def test_bad_lines(self, line):
         with pytest.raises(FormatError):
             parse_oplog(line + "\n")
+
+
+def parse_outcome(text: str, parse=parse_oplog):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+def malformed_oplog(rng: random.Random) -> str:
+    """A random log's text with up to three defects, comments, blank lines
+    and varied whitespace."""
+    log = random_oplog(rng.randint(1, 20), rng.randint(0, 12), rng.randrange(1 << 30))
+    rows = [[str(word) for word in op] for op in log]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        i = rng.randrange(len(rows))
+        kind = rng.randrange(7)
+        if not rows[i]:
+            continue
+        if kind == 0:
+            rows[i].pop()
+        elif kind == 1:
+            rows[i].append(rng.choice(("0", "x", "#")))
+        elif kind == 2 and len(rows[i]) > 1:
+            operand = rng.choice(("x", "1.0", "+3", "-1", "0x1", "1_0", "--1", ""))
+            rows[i][rng.randrange(1, len(rows[i]))] = operand
+        elif kind == 3:
+            rows[i][0] = rng.choice(("link", "Union", "makeset#", "FIND", "unions"))
+        elif kind == 4:
+            rows.insert(i, rng.choice(([], ["#", "note"], ["#union", "0"], ["##"])))
+        elif kind == 5:
+            rows.insert(i, rng.choice((["makeset"], ["find"], ["union", "0"])))
+        else:
+            rows[i] = []
+    seps = (" ", "  ", "\t", " \t ")
+    lines = [
+        rng.choice(("", " ", "\t")) + rng.choice(seps).join(row) + rng.choice(("", " ", "\t "))
+        for row in rows
+    ]
+    return rng.choice(("\n", "\r\n")).join(lines) + "\n" * rng.randint(0, 2)
+
+
+class TestParseMatchesPerLineReference:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n",
+            "# only a comment\n",
+            "#\n  # indented comment\n\tmakeset 2\n",
+            "makeset 3\r\nunion 0 1\r\n\r\nfind 2\r\n",
+            "makeset\t3\nunion\t0\t 1 \n",
+            "makeset 4\nunion +3 -1\nfind -0\n",
+            "makeset 2\nunion 0 1 1\n",
+            "makeset 2\nunion 0\n",
+            "makeset\n",
+            "makeset 2 # trailing words\n",
+            "makeset 2\nlink 0 1\n",
+            "Makeset 2\n",
+            "makeset 2\nfind one\n",
+            "makeset 2\nfind 1.0\n",
+            "makeset 2\x0cfind 1\x0bunion 0 1\n",
+        ],
+    )
+    def test_fixed_texts(self, text):
+        assert parse_outcome(text) == parse_outcome(text, reference_parse_oplog)
+
+    def test_random_texts(self):
+        rng = random.Random(0)
+        errors = 0
+        for _ in range(2000):
+            text = malformed_oplog(rng)
+            expected = parse_outcome(text, reference_parse_oplog)
+            assert parse_outcome(text) == expected, text
+            errors += isinstance(expected, tuple)
+        assert 500 < errors < 1900  # both outcomes are well represented
+
+    def test_one_kind_string_per_op_kind(self):
+        # keeping the split-out word as the kind would hold one string per
+        # op; a 300k-op log then cost ~15 MB more
+        text = format_oplog(random_oplog(500, 4000, seed=2)) + "makeset 3\n"
+        log = parse_oplog(text)
+        assert {op[0] for op in log} == {"makeset", "union", "find"}
+        assert len({id(op[0]) for op in log}) == 3
+
+
+def multi_makeset_log(rng: random.Random, find_fraction: float) -> list:
+    log, n = [], 0
+    for _ in range(rng.randint(1, 5)):
+        block = rng.randint(1, 30)
+        log.append(("makeset", block))
+        n += block
+        for _ in range(rng.randint(0, 3 * block)):
+            if rng.random() < find_fraction:
+                log.append(("find", rng.randrange(n)))
+            else:
+                log.append(("union", rng.randrange(n), rng.randrange(n)))
+    return log
+
+
+class TestReplayMatchesReference:
+    def seeded_logs(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 80)
+            for find_fraction in (0.0, 0.3, 0.9):
+                yield random_oplog(n, rng.randint(0, 4 * n), seed, find_fraction)
+                yield multi_makeset_log(rng, find_fraction)
+
+    def test_arrays_and_exports_match(self):
+        for log in self.seeded_logs():
+            forest, reference = replay(log), reference_replay(log)
+            assert forest.parent == reference.parent, log
+            assert forest.rank == reference.rank, log
+            assert forest.element_count == reference.element_count
+            exported = [(e.tree, e.elements) for e in export_trees(forest)]
+            assert exported == reference_export_trees(reference), log
+
+    @pytest.mark.parametrize(
+        "log, message",
+        [
+            ([], "must start with a make-set block"),
+            ([("union", 0, 1)], "must start with a make-set block"),
+            ([("find", 0), ("makeset", 1)], "must start with a make-set block"),
+            ([("makeset", 0)], "block size must be positive, got 0"),
+            ([("makeset", 2), ("makeset", -3)], "block size must be positive, got -3"),
+            ([("makeset", 2), ("union", 0, 5)], "out-of-range element 5"),
+            ([("makeset", 2), ("union", 7, 5)], "out-of-range element 7"),
+            ([("makeset", 2), ("union", -1, 0)], "out-of-range element -1"),
+            ([("makeset", 2), ("union", 1, -2)], "out-of-range element -2"),
+            ([("makeset", 2), ("find", 2)], "out-of-range element 2"),
+            ([("makeset", 2), ("find", -1)], "out-of-range element -1"),
+            ([("makeset", 2), ("link", 0, 1)], "unknown op"),
+        ],
+    )
+    def test_errors_match(self, log, message):
+        with pytest.raises(ValueError, match=message) as raised:
+            replay(log)
+        with pytest.raises(ValueError) as expected:
+            reference_replay(log)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestRandomUfTree:

@@ -510,6 +510,7 @@ class TestParseMatchesPerLineReference:
             "expected 'id parent rank'",
             "non-integer field",
             "node ids must be strictly increasing",
+            "is reserved for 'no parent'",
             "unknown parent id",
             "rank-not-decreasing",
         )
