@@ -5,8 +5,9 @@ compression on find.  Union locates the two roots without compressing, so a
 union-only history builds exactly a composition of root merges; explicit
 finds are what introduce compressions.  Exported trees therefore land in
 the class the recognizer accepts, which is the whole point: the engine is
-the ground-truth positive generator for the recognition code, and the
-enumerators and mutator below supply the exhaustive and negative corpora.
+the ground-truth positive generator for the recognition code (op logs and
+``random_uf_tree`` both run on it), and the enumerators and mutator below
+supply the exhaustive and negative corpora.
 
 An op log is a list of plain tuples, the words of its text lines with the
 operands as ints: ``("makeset", n)``, ``("union", a, b)``, ``("find", a)``.
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import FormatError
-from .tree import NO_PARENT, NodeId, RankedTree, collapse, merge, singleton, validate
+from .tree import NO_PARENT, NodeId, RankedTree, induced_tree, validate
 
 
 class Forest:
@@ -127,9 +128,10 @@ def parse_oplog(text: str) -> list:
                 case [word, *_] if word[0] == "#":
                     pass
                 case _:
-                    raise ValueError
+                    raise FormatError(f"unknown op {raw.strip()!r}", lineno)
+        except FormatError:
+            raise
         except ValueError:
-            # an unknown word or a wrong field count reads like a bad operand
             raise FormatError(f"non-integer field in {raw.strip()!r}", lineno) from None
     return log
 
@@ -160,15 +162,9 @@ def export_trees(forest: Forest) -> list[ExportedTree]:
             r = root[r]
         root[x] = r
         members.setdefault(r, []).append(x)
-    out = []
-    for r in sorted(members):
-        elements = members[r]
-        to_new = dict(zip(elements, range(len(elements))))
-        tree_parent = list(map(to_new.__getitem__, map(parent.__getitem__, elements)))
-        tree_parent[to_new[r]] = NO_PARENT
-        tree_rank = tuple(map(rank.__getitem__, elements))
-        out.append(ExportedTree(RankedTree(tree_parent, tree_rank), tuple(elements)))
-    return out
+    return [
+        ExportedTree(induced_tree(parent, rank, m, r), tuple(m)) for r, m in sorted(members.items())
+    ]
 
 
 def random_oplog(
@@ -188,38 +184,40 @@ def random_oplog(
 
 
 def random_uf_tree(n: int, seed: int, collapse_prob: float = 0.25) -> RankedTree:
-    """Random n-node tree built by interleaved merges and collapses.
+    """Random n-node tree built by interleaved unions and finds on a Forest.
 
-    Starts from n singletons; each step either collapses a random tree at a
-    random node (probability ``collapse_prob``) or merges two random roots,
-    until a single tree remains.  Deterministic per seed.  With
-    ``collapse_prob=0`` the result is a pure merge composition, so a Union
-    tree whose root rank equals its height.
+    Starts from n singletons; each step either runs a find at a random node
+    of a random tree (probability ``collapse_prob``), collapsing its path,
+    or unions the roots of two random trees, until a single tree remains.
+    Deterministic per seed.  With ``collapse_prob=0`` the result is a pure
+    merge composition, so a Union tree whose root rank equals its height.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if not 0.0 <= collapse_prob <= 1.0:
         raise ValueError("collapse_prob must be in [0, 1]")
     rng = random.Random(seed)
-    forest = [singleton() for _ in range(n)]
+    engine = Forest()
+    engine.makeset(n)
+    trees = [[x] for x in range(n)]  # elements by node id, root first (merge order)
 
     def merge_two() -> None:
-        i, j = rng.sample(range(len(forest)), 2)
-        if forest[i].root_rank < forest[j].root_rank:
+        i, j = rng.sample(range(len(trees)), 2)
+        if engine.rank[trees[i][0]] < engine.rank[trees[j][0]]:
             i, j = j, i
-        forest[i] = merge(forest[i], forest[j])
-        forest.pop(j)
+        engine.union(trees[i][0], trees[j][0])
+        trees[i] += trees[j]
+        trees.pop(j)
 
     for _ in range(2 * n):
         if rng.random() < collapse_prob:
-            weights = [t.node_count for t in forest]
-            i = rng.choices(range(len(forest)), weights=weights)[0]
-            forest[i] = collapse(forest[i], rng.randrange(forest[i].node_count))
-        elif len(forest) > 1:
+            i = rng.choices(range(len(trees)), weights=list(map(len, trees)))[0]
+            engine.find(trees[i][rng.randrange(len(trees[i]))])
+        elif len(trees) > 1:
             merge_two()
-    while len(forest) > 1:
+    while len(trees) > 1:
         merge_two()
-    return forest[0]
+    return induced_tree(engine.parent, engine.rank, trees[0], trees[0][0])
 
 
 # --- exhaustive enumeration -------------------------------------------------

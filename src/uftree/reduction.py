@@ -223,9 +223,7 @@ class ReductionReport:
     extraction_valid: bool | None = None
 
 
-def verify_reduction(
-    inst: PartitionInstance, max_nodes: int = VERIFY_NODE_CAP
-) -> ReductionReport:
+def verify_reduction(inst: PartitionInstance) -> ReductionReport:
     """Run solver and recognizer on one instance and compare the verdicts.
 
     When both are positive, the certificate's apple placements are converted
@@ -233,8 +231,8 @@ def verify_reduction(
     """
     flat = make_flat_tree(inst)
     n = flat.tree.node_count
-    if n > max_nodes:
-        raise CapExceeded(f"flat tree has {n} nodes, cap is {max_nodes}")
+    if n > VERIFY_NODE_CAP:
+        raise CapExceeded(f"flat tree has {n} nodes, cap is {VERIFY_NODE_CAP}")
     solution = solve_partition(inst)
     verdict = is_union_find_tree(flat.tree)
     agree = (solution is not None) == verdict.accepted

@@ -305,12 +305,21 @@ def subtree(t: RankedTree, x: NodeId) -> tuple[RankedTree, tuple[int, ...]]:
     original ids so the renaming is stable.
     """
     ids = t.descendants(x)
-    to_new = {old: new for new, old in enumerate(ids)}
-    parent = tuple(
-        NO_PARENT if old == x else to_new[t.parent[old]] for old in ids
-    )
-    rank = tuple(t.rank[old] for old in ids)
-    return RankedTree(parent, rank), tuple(ids)
+    return induced_tree(t.parent, t.rank, ids, x), tuple(ids)
+
+
+def induced_tree(
+    parent: Sequence[int], rank: Sequence[int], nodes: Sequence[NodeId], root: NodeId
+) -> RankedTree:
+    """The tree on ``nodes`` with dense ids, node i being ``nodes[i]``, rooted at
+    ``root`` whatever its parent entry (a Forest root is its own parent).  Any
+    other node whose parent is not in ``nodes`` raises ``KeyError``."""
+    to_new = dict(zip(nodes, range(len(nodes))))
+    parents = list(map(parent.__getitem__, nodes))
+    parents[to_new[root]] = None
+    to_new[None] = NO_PARENT
+    tree_parent = tuple(map(to_new.__getitem__, parents))
+    return RankedTree(tree_parent, tuple(map(rank.__getitem__, nodes)))
 
 
 def subtree_keys(t: RankedTree, table: list[list[NodeId]]) -> list[bytes]:
@@ -357,15 +366,8 @@ def canonical_form(t: RankedTree) -> tuple[RankedTree, tuple[int, ...]]:
         x = stack.pop()
         order.append(x)
         # reversed so the lexicographically smallest child is visited first
-        for c in sorted(table[x], key=lambda c: (enc[c], c), reverse=True):
-            stack.append(c)
-    to_new = {old: new for new, old in enumerate(order)}
-    parent = tuple(
-        NO_PARENT if t.parent[old] == NO_PARENT else to_new[t.parent[old]]
-        for old in order
-    )
-    rank = tuple(t.rank[old] for old in order)
-    return RankedTree(parent, rank), tuple(order)
+        stack.extend(sorted(table[x], key=lambda c: (enc[c], c), reverse=True))
+    return induced_tree(t.parent, t.rank, order, order[0]), tuple(order)
 
 
 def serialize_tree(t: RankedTree) -> str:

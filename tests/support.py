@@ -306,6 +306,8 @@ def reference_parse_oplog(text: str) -> list:
                 log.append(("find", int(fields[1])))
             else:
                 raise FormatError(f"unknown op {line!r}", lineno)
+        except FormatError:
+            raise
         except ValueError:
             raise FormatError(f"non-integer field in {line!r}", lineno) from None
     return log

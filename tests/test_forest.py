@@ -133,6 +133,24 @@ class TestOpLogText:
         with pytest.raises(FormatError):
             parse_oplog(line + "\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("link 0 1", "unknown op 'link 0 1'"),
+            ("makeset", "unknown op 'makeset'"),
+            ("union 0", "unknown op 'union 0'"),
+            ("find 1 2", "unknown op 'find 1 2'"),
+            ("find x", "non-integer field in 'find x'"),
+            ("union 0 1.0", "non-integer field in 'union 0 1.0'"),
+        ],
+    )
+    def test_bad_line_messages(self, line, message):
+        # an unknown word or a wrong field count is no bad operand
+        with pytest.raises(FormatError) as info:
+            parse_oplog(f"makeset 2\n  {line} \n")
+        assert str(info.value) == f"line 2: {message}"
+        assert info.value.line == 2
+
 
 def parse_outcome(text: str, parse=parse_oplog):
     try:
@@ -301,6 +319,31 @@ class TestRandomUfTree:
             random_uf_tree(0, seed=0)
         with pytest.raises(ValueError):
             random_uf_tree(5, seed=0, collapse_prob=1.5)
+
+    def test_draws_are_pinned(self):
+        # one digest over seeded outputs, taken when the generator rebuilt a
+        # RankedTree with merge or collapse on every step
+        digest = hashlib.sha256()
+        for n in (1, 2, 3, 5, 10, 17, 40, 100, 200, 400, 800):
+            for s in range(30):
+                for p in (0, 0.25, 0.4, 1):
+                    t = random_uf_tree(n, s, p)
+                    digest.update(repr((t.parent, t.rank)).encode())
+        assert digest.hexdigest() == (
+            "756e6b8cf55a305f39724a9f14aa348e907f07ca6597fa1e0c63e48b1e531fcf"
+        )
+
+    def test_builds_one_tree(self, monkeypatch):
+        # the forest does the steps; a tree per step made the generator
+        # quadratic in n
+        built = []
+        original = RankedTree.__post_init__
+        monkeypatch.setattr(
+            RankedTree, "__post_init__", lambda t: built.append(1) or original(t)
+        )
+        t = random_uf_tree(4000, 0)
+        assert t.node_count == 4000
+        assert len(built) == 1
 
 
 class TestEnumeration:

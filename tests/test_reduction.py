@@ -230,7 +230,7 @@ class TestVerifyReduction:
 
     def test_node_cap(self):
         with pytest.raises(CapExceeded):
-            verify_reduction(PartitionInstance((20, 20), 2), max_nodes=50)
+            verify_reduction(PartitionInstance((250, 250), 2))
 
     def test_report_format(self):
         text = format_report(verify_reduction(parse_instance("2,2;2")))

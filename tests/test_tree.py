@@ -1,5 +1,6 @@
 """Core tree model: validation, merge/collapse/push, ordering, canonical forms, text."""
 
+import hashlib
 import itertools
 import random
 
@@ -20,13 +21,16 @@ from support import (
     star,
 )
 from uftree.errors import CapExceeded, FormatError, InvalidTreeError
+from uftree.forest import enumerate_trees, random_oplog, random_uf_tree, replay
 from uftree.tree import (
+    NO_PARENT,
     RANK_CAP,
     RankedTree,
     canonical_form,
     canonical_key,
     collapse,
     export_dot,
+    induced_tree,
     legal_pushes,
     merge,
     parse_tree,
@@ -336,7 +340,69 @@ class TestSubtree:
         assert ids == (2, 5, 6, 7, 8)
 
 
+class TestInducedTree:
+    @staticmethod
+    def per_node(parent, rank, nodes, root):
+        to_new = {old: new for new, old in enumerate(nodes)}
+        return RankedTree(
+            tuple(NO_PARENT if old == root else to_new[parent[old]] for old in nodes),
+            tuple(rank[old] for old in nodes),
+        )
+
+    def test_matches_per_node_relabel(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            t = random_valid_tree(rng, rng.randint(1, 30))
+            x = rng.randrange(t.node_count)
+            nodes = t.descendants(x)
+            rng.shuffle(nodes)
+            expected = self.per_node(t.parent, t.rank, nodes, x)
+            assert induced_tree(t.parent, t.rank, nodes, x) == expected
+            assert validate(expected)
+
+    def test_forest_roots_are_their_own_parents(self):
+        rng = random.Random(1)
+        for seed in range(40):
+            forest = replay(random_oplog(40, rng.randrange(80), seed))
+            members = {}
+            for x in range(forest.element_count):
+                root = x  # no find: it would flatten the trees
+                while forest.parent[root] != root:
+                    root = forest.parent[root]
+                members.setdefault(root, []).append(x)
+            for root, nodes in members.items():
+                rng.shuffle(nodes)
+                expected = self.per_node(forest.parent, forest.rank, nodes, root)
+                assert induced_tree(forest.parent, forest.rank, nodes, root) == expected
+
+    def test_parent_outside_the_nodes_raises(self):
+        t = chain(3, 2, 1, 0)  # node i is the parent of node i + 1
+        with pytest.raises(KeyError):
+            induced_tree(t.parent, t.rank, [0, 2, 3], 0)
+        with pytest.raises(KeyError):
+            induced_tree(t.parent, t.rank, [2, 3], 3)
+        # a sibling of the root has the root's outside parent
+        with pytest.raises(KeyError):
+            induced_tree(S_TREE.parent, S_TREE.rank, [X_NODE, 1, Z_NODE], X_NODE)
+
+
 class TestCanonical:
+    def test_canonical_form_and_subtree_are_pinned(self):
+        # one digest over seeded outputs, taken when each relabelled its
+        # node list with its own loop
+        trees = [random_uf_tree(n, s, 0.4) for n in (1, 2, 3, 5, 10, 40, 200) for s in range(10)]
+        trees += list(enumerate_trees(6))
+        digest = hashlib.sha256()
+        for t in trees:
+            canon, order = canonical_form(t)
+            digest.update(repr((canon.parent, canon.rank, order)).encode())
+            for x in range(t.node_count):
+                sub, ids = subtree(t, x)
+                digest.update(repr((sub.parent, sub.rank, ids)).encode())
+        assert digest.hexdigest() == (
+            "f6a17e76e9d6d6f7d8cea43b6fda07d7aa113de5d67b9e06e1bfcfa9bd9f68a7"
+        )
+
     def test_singletons_equal(self):
         assert canonical_key(singleton()) == canonical_key(singleton())
 
