@@ -147,9 +147,9 @@ class _Search:
         """Canonical key of a member of cls with the grafted subtrees below it."""
         return node_key(cls.rank, cls.child_keys + [self.keys[y] for y in grafted])
 
-    def tick(self) -> None:
+    def tick(self, count: int = 1) -> None:
         if self.budget is not None:
-            self.budget -= 1
+            self.budget -= count
             if self.budget < 0:
                 raise _BudgetExhausted
 
@@ -264,7 +264,12 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         min_keep = 1 if uncovered and not later_same_rank else 0
         if cls.rank == rank - 1:
             min_keep = len(cls.members)  # nothing outranks them, they cannot move
-        for k in range(len(cls.members), min_keep - 1, -1):
+        counts = range(len(cls.members), min_keep - 1, -1)
+        if i == len(needy) - 1:  # every other class is booked: settle the per-rank test
+            passing = _supplied(cls, counts, per_rank, kept_per_rank, demand)
+            st.tick(len(counts) - len(passing))  # a refuted count only ticks its leaf
+            counts = passing
+        for k in counts:
             cls.kept = k
             kept_per_rank[cls.rank] += k
             for r in cls.missing:
@@ -276,21 +281,28 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
 
     for _ in _depth_first(keep, len(needy)):
         st.tick()
-        # Demand/supply precheck per rank: a kept needy child whose root
-        # misses rank r can only receive it from a pushed needy child or a
-        # pulled free child of that exact rank, because internal pushes never
-        # move nodes up.  Supply is every child of rank r that is not kept,
-        # less one free child if none is kept, because the root keeps rank r.
-        for r in range(rank):
-            if demand[r] + max(kept_per_rank[r], 1) > per_rank[r]:
-                break
-        else:
-            # slack[r]: pulls rank r can still lose while keeping one child at root
-            slack = [kept_per_rank[r] + free_per_rank[r] - 1 for r in range(rank)]
-            steps = _assign_targets(st, needy, free, targets, slack)
-            if steps is not None:
-                return steps
+        # slack[r]: pulls rank r can still lose while keeping one child at root
+        slack = [kept_per_rank[r] + free_per_rank[r] - 1 for r in range(rank)]
+        steps = _assign_targets(st, needy, free, targets, slack)
+        if steps is not None:
+            return steps
     return None
+
+
+def _supplied(cls: _Class, counts: range, per_rank, kept_per_rank, demand) -> range:
+    """The descending keep ``counts`` of the last needy class that pass the
+    per-rank test, with every other needy class booked.
+
+    A kept needy child missing rank r can only get it from an unkept child
+    of rank r, as pushes never move nodes up, and the root keeps one of
+    them: r passes iff ``demand[r] + max(kept_per_rank[r], 1) <= per_rank[r]``.
+    Keeping k adds k to ``demand`` at the class's missing ranks and to
+    ``kept_per_rank`` at its own, so no test gets easier as k grows.
+    """
+    room = [n - d - max(k, 1) for n, d, k in zip(per_rank, demand, kept_per_rank)]
+    own = per_rank[cls.rank] - demand[cls.rank] - kept_per_rank[cls.rank]  # caps k >= 1
+    cap = min([own] + [room[r] for r in cls.missing]) if min(room) >= 0 else -1
+    return counts[max(0, counts.start - cap) :]
 
 
 @dataclass
@@ -604,20 +616,19 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     The search follows the characterization via pushes: pick the children
     that remain at depth one (their ranks must cover ``{0..rank(root)-1}``),
     push every other child below a strictly higher-ranked survivor, and
-    recursively decide each enriched subtree.  Only that recursion takes
-    Python frames, one nesting level per rank; every choice within a
-    subproblem backtracks on :func:`_depth_first`'s explicit stack.  A
-    Union tree, or a tree a root filter refutes, is answered from the tree
-    alone.  Otherwise one index of the tree serves the whole search: every
-    candidate subtree is a rank over input-tree nodes, pre-filtered by the
-    same filters and memoized by canonical key.  Targets are tried in order
-    of rank, key and id, so the search effort does not depend on the tree's
-    labeling.
+    recursively decide each enriched subtree.  A Union tree, or a tree a
+    root filter refutes, is answered from the tree alone.  Otherwise one
+    index of the tree serves the whole search: every candidate subtree is
+    a rank over input-tree nodes, pre-filtered by the same filters and
+    memoized by canonical key.  Targets are tried in order of rank, key
+    and id, so the search effort does not depend on the tree's labeling.
 
-    ``budget`` caps the search effort, counted in subtree decisions and
-    candidate probes; when it runs out the verdict is the inconclusive
-    ``search-exhausted``.  Without a budget the search always terminates
-    with a definite answer.
+    ``budget`` caps the search effort in ticks, spent on subtree
+    decisions, candidate probes and keep vectors; a keep vector the
+    per-rank test rules out costs one tick, and the last class's ruled-out
+    counts are charged together.  When the budget runs out the verdict is
+    the inconclusive ``search-exhausted``; without one the search always
+    ends with a definite answer.
     """
     validate(t).raise_if_invalid()
     if is_union_tree(t):

@@ -328,11 +328,10 @@ def subtree_keys(t: RankedTree, table: list[list[NodeId]]) -> list[bytes]:
     ``subtree_keys(t, t.child_table())[x] == canonical_key(subtree(t, x)[0])``:
     the bottom-up encoding of a node depends only on the subtree below it.
     Equal bytes iff the subtrees are isomorphic as unordered rank-labeled
-    rooted trees.
+    rooted trees.  t must be valid, so that ascending rank is bottom-up.
     """
-    depth = t.depths()
     enc: list[bytes] = [b""] * t.node_count
-    for x in sorted(range(t.node_count), key=depth.__getitem__, reverse=True):
+    for x in sorted(range(t.node_count), key=t.rank.__getitem__):
         enc[x] = node_key(t.rank[x], [enc[c] for c in table[x]])
     return enc
 
@@ -353,7 +352,7 @@ def canonical_key(t: RankedTree) -> bytes:
 
 
 def canonical_form(t: RankedTree) -> tuple[RankedTree, tuple[int, ...]]:
-    """Relabel t into its canonical representative.
+    """Relabel a valid tree t into its canonical representative.
 
     Isomorphic trees map to the identical canonical tree.  Returns the
     canonical tree and the id map ``order[canonical] = original``.

@@ -1,10 +1,14 @@
 """Recognition procedures, filters, certificates, and the push oracle."""
 
+import hashlib
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import (
     chain,
@@ -38,9 +42,12 @@ from uftree.recognize import (
     REASON_SEARCH,
     REASON_UNION_TREE,
     Certificate,
+    _BudgetExhausted,
+    _Class,
     _minimal_candidates,
     _Search,
     _splits,
+    _supplied,
     brute_force_is_uf,
     check_certificate,
     count_filter,
@@ -63,6 +70,7 @@ from uftree.tree import (
     subtree_keys,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 
 # the trees of the prop4, rank-range and missing-rank filter tests below
 ROOT_FILTER_FIXTURES = [
@@ -275,6 +283,10 @@ class TestRecognizer:
             (lambda: random_uf_tree(200, 4), 128),
             (lambda: random_uf_tree(400, 1), 940),
             (lambda: random_uf_tree(400, 2), 2120),
+            # most of its ticks are keep counts the per-rank test refutes
+            (lambda: random_uf_tree(400, 7), 1785),
+            # unsolvable: the search refutes it
+            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 975),
             # free children that outrank no pushed class are no targets
             (lambda: wide_tree(900), 7),
             # the same effort under any labeling of the same trees
@@ -285,7 +297,7 @@ class TestRecognizer:
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
-            "uf200-s4", "uf400-s1", "uf400-s2", "wide-k900",
+            "uf200-s4", "uf400-s1", "uf400-s2", "uf400-s7", "flat-44519971", "wide-k900",
             "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled",
         ],
@@ -295,6 +307,37 @@ class TestRecognizer:
         t = build()
         assert is_union_find_tree(t, budget=ticks).reason != REASON_BUDGET
         assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+
+    def test_benchmark_corpora_are_searched_as_pinned(self, tmp_path, monkeypatch):
+        # verdict, ticks and certificate of the 71 seed-0 instances of the
+        # engine-positives, gadget-yes and gadget-no benchmark corpora at
+        # budget 20,000, in corpus order; an exhausted run counts as 20,001
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        instances = (
+            workloads.engine_setup(0, tmp_path).instances
+            + workloads.gadget_setup(0, tmp_path, True).instances
+            + workloads.gadget_setup(0, tmp_path, False).instances
+        )
+        used = [0]
+        tick = _Search.tick
+
+        def counted(search, count=1):
+            used[0] += count
+            tick(search, count)
+
+        monkeypatch.setattr(_Search, "tick", counted)
+        digest = hashlib.sha256()
+        for inst in instances:
+            used[0] = 0
+            verdict = is_union_find_tree(inst.tree, budget=20_000)
+            ticks = 20_001 if verdict.reason == REASON_BUDGET else used[0]
+            steps = verdict.certificate.steps if verdict.certificate else None
+            digest.update(repr((inst.id, verdict.reason, ticks, steps)).encode())
+        assert len(instances) == 71
+        assert digest.hexdigest() == (
+            "e22954b204bb98d75b95570095a311b105578b3b4c97fcc012a1ba1e5ae817dc"
+        )
 
     def test_search_rejection_names_the_search(self):
         # the root passes every filter; a filter that fired in some abandoned
@@ -515,6 +558,84 @@ class TestSplits:
             hi = lo + rng.randint(-2, 10)
             expected = reference_splits(ranges, weights, lo, hi)
             assert list(_splits(ranges, weights, lo, hi)) == expected, (ranges, weights, lo, hi)
+
+
+def small_search(budget):
+    return _Search(RankedTree((-1, 0), (1, 0)), budget)
+
+
+class TestBudget:
+    def test_a_charge_to_exactly_zero_passes_and_the_next_tick_raises(self):
+        search = small_search(5)
+        search.tick(3)
+        search.tick(2)
+        with pytest.raises(_BudgetExhausted):
+            search.tick()
+
+    def test_a_charge_past_the_budget_raises(self):
+        with pytest.raises(_BudgetExhausted):
+            small_search(5).tick(6)
+
+    def test_no_budget_never_raises(self):
+        search = small_search(None)
+        search.tick(10**9)
+        search.tick()
+
+
+def passes_leaf_test(k, cls, per_rank, kept_per_rank, demand):
+    """The per-rank test a keep leaf ran, with cls keeping k members."""
+    kept, need = list(kept_per_rank), list(demand)
+    kept[cls.rank] += k
+    for r in cls.missing:
+        need[r] += k
+    return all(need[r] + max(kept[r], 1) <= per_rank[r] for r in range(len(per_rank)))
+
+
+@st.composite
+def last_classes(draw):
+    """A last needy class, its keep counts, and the per-rank counts with
+    every other needy class booked."""
+    rank = draw(st.integers(1, 6))
+    per_rank, kept_per_rank, demand = (
+        draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank)) for _ in range(3)
+    )
+    cls_rank = draw(st.integers(0, rank - 1))
+    missing = [r for r in range(cls_rank) if draw(st.booleans())]
+    members = draw(st.integers(1, 6))
+    cls = _Class(cls_rank, list(range(members)), 0, [], missing)
+    counts = range(members, draw(st.integers(0, members)) - 1, -1)
+    return cls, counts, per_rank, kept_per_rank, demand
+
+
+class TestSupplied:
+    @given(last_classes())
+    @settings(max_examples=400, deadline=None)
+    def test_keeps_exactly_the_counts_the_leaf_test_passes(self, case):
+        cls, counts, *state = case
+        passing = _supplied(cls, counts, *state)
+        assert list(passing) == [k for k in counts if passes_leaf_test(k, cls, *state)]
+        # the keep stage charges one tick per refuted count
+        refuted = [k for k in counts if not passes_leaf_test(k, cls, *state)]
+        assert len(counts) - len(passing) == len(refuted)
+
+    @pytest.mark.parametrize("demand_1, expected", [(2, [1, 0]), (3, [])])
+    def test_keeping_none_where_no_member_of_the_rank_is_kept(self, demand_1, expected):
+        # a rank-1 class of two that misses rank 0, beside one free rank-1
+        # child; three kept rank-2 children miss rank 1.  At k = 0 the free
+        # child must stay for the root, so it supplies nothing
+        cls = _Class(1, [7, 8], 0, [], [0])
+        counts = range(2, -1, -1)
+        state = [3, 3, 3], [0, 0, 3], [0, demand_1, 0]
+        assert list(_supplied(cls, counts, *state)) == expected
+        assert expected == [k for k in counts if passes_leaf_test(k, cls, *state)]
+
+    def test_a_failing_rank_the_class_does_not_touch_refutes_every_count(self):
+        # rank 2 keeps one child and must supply one more, but has only one
+        cls = _Class(1, [7, 8, 9], 0, [], [0])
+        counts = range(3, -1, -1)
+        state = [9, 9, 1], [0, 0, 1], [0, 0, 1]
+        assert list(_supplied(cls, counts, *state)) == []
+        assert not any(passes_leaf_test(k, cls, *state) for k in counts)
 
 
 class TestOracle:
