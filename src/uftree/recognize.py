@@ -16,6 +16,7 @@ desk-scale cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CapExceeded, FormatError
 from .tree import (
@@ -245,6 +246,18 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         if cls.rank > 0:  # a rank-0 child is free and can receive nothing
             targets.extend((x, cls, ci, pos) for pos, x in enumerate(members))
 
+    # gain[r]: the most rank-0 surplus that kept children of rank r can
+    # receive.  It comes from lower ranks, pushed or pulled, and each rank
+    # keeps a child at the root: rank q gives its best per_rank[q] - 1.
+    gain = [0] * (rank + 1)
+    if any(cls.surplus < 0 for cls in needy):
+        room = [n - 1 for n in per_rank]
+        for cls in sorted(needy + free, key=lambda cls: -cls.surplus):
+            take = min(len(cls.members), room[cls.rank])
+            room[cls.rank] -= take
+            gain[cls.rank + 1] += take * max(cls.surplus, 0)
+        gain = list(accumulate(gain))
+
     # of the needy classes kept so far: members kept per rank, and how many
     # kept members miss each rank
     kept_per_rank, demand = [0] * rank, [0] * rank
@@ -255,7 +268,10 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         # pushed must land below a strictly higher-ranked depth-one survivor,
         # which root coverage guarantees except at the maximal child rank.
         # Free children always stay unless pulled later.  Keeping more is
-        # tried first so near-Union trees resolve with few pushes.
+        # tried first so near-Union trees resolve with few pushes.  A kept
+        # member must end with rank-0 surplus >= 0 (the count filter), so a
+        # class of negative surplus keeps at most gain[rank] // -surplus of
+        # its members, who share that gain; higher counts are never tried.
         st.tick()
         cls = needy[i]
         # The last needy class of a rank with no free members must keep coverage.
@@ -264,7 +280,10 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         min_keep = 1 if uncovered and not later_same_rank else 0
         if cls.rank == rank - 1:
             min_keep = len(cls.members)  # nothing outranks them, they cannot move
-        counts = range(len(cls.members), min_keep - 1, -1)
+        top = len(cls.members)
+        if cls.surplus < 0:
+            top = min(top, gain[cls.rank] // -cls.surplus)
+        counts = range(top, min_keep - 1, -1)
         if i == len(needy) - 1:  # every other class is booked: settle the per-rank test
             passing = _supplied(cls, counts, per_rank, kept_per_rank, demand)
             st.tick(len(counts) - len(passing))  # a refuted count only ticks its leaf
@@ -626,8 +645,9 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     ``budget`` caps the search effort in ticks, spent on subtree
     decisions, candidate probes and keep vectors; a keep vector the
     per-rank test rules out costs one tick, and the last class's ruled-out
-    counts are charged together.  When the budget runs out the verdict is
-    the inconclusive ``search-exhausted``; without one the search always
+    counts are charged together; the counts the surplus cap rules out are
+    never searched and cost nothing.  When the budget runs out the verdict
+    is the inconclusive ``search-exhausted``; without one the search always
     ends with a definite answer.
     """
     validate(t).raise_if_invalid()

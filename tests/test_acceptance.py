@@ -116,14 +116,14 @@ def test_partition_equivalence_sweep():
     started = time.perf_counter()
     total = 0
     disagreements = 0
-    for inst in instances_with_sum_up_to(16, (2, 3, 4)):
+    for inst in instances_with_sum_up_to(18, (2, 3, 4, 5)):
         rep = verify_reduction(inst)
         total += 1
         if not rep.agree or rep.extraction_valid is False:
             disagreements += 1
-    ok = disagreements == 0 and total > 1100
+    ok = disagreements == 0 and total > 2100
     report(
-        f"solver/recognizer agreement on {total} instances (sum<=16, k=2,3,4)",
+        f"solver/recognizer agreement on {total} instances (sum<=18, k=2,3,4,5)",
         ok,
         started,
     )

@@ -86,6 +86,14 @@ def largest_export(n, seed):
     return max(trees, key=lambda t: t.node_count)
 
 
+def mutated_engine_tree(s):
+    """Tree s of the oracle sweep: an engine tree of 10-18 nodes, mutated three times."""
+    t = random_uf_tree(10 + s % 9, s)
+    for k in range(3):
+        t = mutate(t, 1000 * s + k)
+    return t
+
+
 class TestUnionCondition:
     def test_leaf(self):
         assert satisfies_union_condition(singleton(), 0)
@@ -273,11 +281,12 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 191),
-            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 40),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 99),
-            # the gadget tail probe: splits that overfill a basket are never tried
-            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 10079),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 84),
+            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 27),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 49),
+            # the gadget tail probe: splits that overfill a basket are never
+            # tried, and no keep vector keeps an apple
+            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 253),
             (lambda: random_uf_tree(60, 0), 42),
             (lambda: random_uf_tree(100, 0), 51),
             (lambda: random_uf_tree(200, 4), 128),
@@ -286,12 +295,12 @@ class TestRecognizer:
             # most of its ticks are keep counts the per-rank test refutes
             (lambda: random_uf_tree(400, 7), 1785),
             # unsolvable: the search refutes it
-            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 975),
+            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 212),
             # free children that outrank no pushed class are no targets
             (lambda: wide_tree(900), 7),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 191),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 191),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 84),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 84),
             (lambda: relabel(random_uf_tree(200, 4)), 128),
             (lambda: relabel(random_uf_tree(200, 4), 3), 128),
         ],
@@ -336,7 +345,7 @@ class TestRecognizer:
             digest.update(repr((inst.id, verdict.reason, ticks, steps)).encode())
         assert len(instances) == 71
         assert digest.hexdigest() == (
-            "e22954b204bb98d75b95570095a311b105578b3b4c97fcc012a1ba1e5ae817dc"
+            "c772a79500519e32a3c0b199a8f79e71453c7344a7e28c87f3e31b5affa6b2b1"
         )
 
     def test_search_rejection_names_the_search(self):
@@ -362,6 +371,71 @@ class TestRecognizer:
         assert (11, 9) in verdict.certificate.steps
         assert len(verdict.certificate) == 3
         assert check_certificate(t, verdict.certificate)
+
+    @pytest.mark.parametrize(
+        "t, accepted, ticks",
+        [
+            # root 0 (rank 3) over leaf 1, the childless rank-1 nodes 2 and 3
+            # (surplus -1 each), a free rank-1 node 4 and a free rank-2 node.
+            # Below rank 1 the root has only its own leaf, which must stay,
+            # so neither 2 nor 3 is ever kept: both go below the rank-2
+            # node.  Its surplus is 3 here, and 1 in the next tree, where 4
+            # cannot be pulled in to help, as the root must keep a rank-1
+            # child.
+            (
+                RankedTree(
+                    (-1, 0, 0, 0, 0, 4, 0, 6, 6, 6, 6, 6, 11),
+                    (3, 0, 1, 1, 1, 0, 2, 0, 0, 0, 0, 1, 0),
+                ),
+                True,
+                14,
+            ),
+            (
+                RankedTree(
+                    (-1, 0, 0, 0, 0, 4, 4, 0, 7, 7, 7, 10),
+                    (3, 0, 1, 1, 1, 0, 0, 2, 0, 0, 1, 0),
+                ),
+                False,
+                3,
+            ),
+            # root 0 (rank 4) over a leaf, free children of ranks 1 and 2,
+            # the rank-3 node 8 (surplus -1), which nothing outranks, and the
+            # needy rank-2 node 13 over four leaves (surplus 3).  Only
+            # pushing 13 below 8 repays 8, so the cap must count it.
+            (
+                RankedTree(
+                    (-1, 0, 0, 2, 0, 4, 4, 6, 0, 8, 8, 8, 8, 0, 13, 13, 13, 13),
+                    (4, 0, 1, 0, 2, 0, 1, 0, 3, 0, 0, 1, 1, 2, 0, 0, 0, 0),
+                ),
+                True,
+                22,
+            ),
+        ],
+        ids=["accept", "reject", "needy-graft"],
+    )
+    def test_a_needy_class_keeps_no_more_than_lower_ranks_can_repay(self, t, accepted, ticks):
+        # the budgets are the smallest that decide
+        verdict = is_union_find_tree(t, budget=ticks)
+        assert verdict.reason == (REASON_CERTIFICATE if accepted else REASON_SEARCH)
+        assert brute_force_is_uf(t, max_nodes=18) == accepted
+        assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+        if accepted:
+            assert check_certificate(t, verdict.certificate)
+
+    @pytest.mark.parametrize(
+        "s, ticks",
+        [(197, 24), (1070, 20), (1390, 14), (339, 32), (440, 39), (1088, 48), (1438, 93)],
+    )
+    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s, ticks):
+        # trees of the 1,500-tree oracle sweep on which the keep stage caps a
+        # needy class below its size, at their smallest deciding budget
+        t = mutated_engine_tree(s)
+        verdict = is_union_find_tree(t, budget=ticks)
+        assert verdict.reason != REASON_BUDGET
+        assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+        assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
+        if verdict.certificate is not None:
+            assert check_certificate(t, verdict.certificate), s
 
     def test_candidate_key_is_the_canonical_key_of_the_enriched_subtree(self):
         flat = make_flat_tree(parse_instance("1,2,3,4,4;2"))
@@ -423,9 +497,7 @@ class TestRecognizer:
         # for multi-class placement and pulls, small enough for the oracle
         negatives = 0
         for s in range(300):
-            t = random_uf_tree(10 + s % 9, s)
-            for k in range(3):
-                t = mutate(t, 1000 * s + k)
+            t = mutated_engine_tree(s)
             verdict = is_union_find_tree(t)
             assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
             if verdict.certificate is not None:
