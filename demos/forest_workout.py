@@ -1,4 +1,4 @@
-"""The instrumented forest as a ground-truth generator and self-checker.
+"""The forest engine as a ground-truth generator and self-checker.
 
 Replays an operation log through the union-by-rank engine, exports every
 tree it built, and feeds each one to the recognizer; by construction they

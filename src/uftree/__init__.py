@@ -6,7 +6,7 @@ Merge-only (Union) trees are recognized in linear time; the general problem
 is NP-complete and is solved exactly by a certificate-producing search,
 cross-checkable against a brute-force push oracle.  A compiler from k-way
 Partition instances to "flat trees" realizes the hardness construction and
-doubles as a validation harness, and an instrumented forest engine provides
+doubles as a validation harness, and a union-by-rank forest engine provides
 ground-truth positive instances.
 """
 

@@ -1,4 +1,4 @@
-"""Instrumented disjoint-set forest plus test-instance generators.
+"""Union-by-rank disjoint-set forest plus test-instance generators.
 
 The forest implements the classic union-by-rank strategy with full path
 compression on find.  Union locates the two roots without compressing, so a

@@ -116,11 +116,11 @@ class _Search:
     input tree's nodes: a push slides a depth-one child below a sibling
     and leaves every subtree below them untouched.  So one child table,
     one set of subtree keys and one bottom-up pass of per-node facts
-    (rank-0 count, size, Union flag of the subtree below each node) serve
-    every search node.
+    (rank-0 surplus, size, Union flag of the subtree below each node)
+    serve every search node.
     """
 
-    __slots__ = ("memo", "budget", "rank", "table", "keys", "zeros", "size", "union")
+    __slots__ = ("memo", "budget", "rank", "table", "keys", "surplus", "size", "union")
 
     def __init__(self, t: RankedTree, budget: int | None):
         # canonical key -> push steps in canonical-tree ids, or None if not UF
@@ -130,19 +130,19 @@ class _Search:
         self.table = t.child_table()
         self.keys = subtree_keys(t, self.table)
         n = t.node_count
-        self.zeros, self.size, self.union = [0] * n, [1] * n, [True] * n
+        self.surplus, self.size, self.union = [0] * n, [1] * n, [True] * n
         # ranks strictly decrease downward, so this order is bottom-up
         for x in sorted(range(n), key=t.rank.__getitem__):
-            _, self.zeros[x], self.size[x], self.union[x] = self.facts(
+            _, self.surplus[x], self.size[x], self.union[x] = self.facts(
                 t.rank[x], self.table[x]
             )
 
     def facts(self, rank: int, kids: list[NodeId]) -> tuple[set[int], int, int, bool]:
-        """Child ranks, rank-0 count, size and Union flag of a rank over kids."""
+        """Child ranks, rank-0 surplus, size and Union flag of a rank over kids."""
         ranks = {self.rank[c] for c in kids}
-        zeros = (rank == 0) + sum(self.zeros[c] for c in kids)
+        surplus = (1 if rank == 0 else -1) + sum(self.surplus[c] for c in kids)
         size = 1 + sum(self.size[c] for c in kids)
-        return ranks, zeros, size, len(ranks) == rank and all(self.union[c] for c in kids)
+        return ranks, surplus, size, len(ranks) == rank and all(self.union[c] for c in kids)
 
     def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
         """Canonical key of a member of cls with the grafted subtrees below it."""
@@ -155,17 +155,17 @@ class _Search:
                 raise _BudgetExhausted
 
 
-def _refute(rank: int, zeros: int, size: int, child_ranks: set[int]) -> str | None:
+def _refute(rank: int, surplus: int, size: int, child_ranks: set[int]) -> str | None:
     """The first structural filter that proves a tree is not Union-Find, or None.
 
-    Takes the tree's root rank, rank-0 count, size and root child ranks,
-    and is meant for a valid tree that is not a Union tree.  Every
-    Union-Find tree has at least as many rank-0 nodes as positive-rank
-    ones (:func:`count_filter`), has at least ``2^rank`` nodes below a
+    Takes the tree's root rank, rank-0 surplus (rank-0 minus positive-rank
+    nodes), size and root child ranks, and is meant for a valid tree that
+    is not a Union tree.  Every Union-Find tree has a rank-0 surplus of at
+    least 0 (:func:`count_filter`), has at least ``2^rank`` nodes below a
     root of that rank, and keeps every rank below the root's among the
     root's children, because pushes only move nodes down.
     """
-    if zeros < size - zeros:
+    if surplus < 0:
         return REASON_COUNT_FILTER
     if size < (1 << rank):
         return REASON_RANK_RANGE
@@ -201,10 +201,10 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     input-tree nodes ``kids``, each with its subtree from the input tree.
     Returns None if no push sequence exists.
     """
-    ranks, zeros, size, union = st.facts(rank, kids)
+    ranks, surplus, size, union = st.facts(rank, kids)
     if union:
         return ()
-    if _refute(rank, zeros, size, ranks) is not None:
+    if _refute(rank, surplus, size, ranks) is not None:
         return None
 
     # Split the depth-one children into isomorphism classes and sort the
@@ -218,12 +218,8 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     groups: dict[tuple[int, bytes], list[NodeId]] = {}
     for c in sorted(kids):
         groups.setdefault((-st.rank[c], st.keys[c]), []).append(c)
-    needy: list[_Class] = []
-    free: list[_Class] = []
+    classes: list[_Class] = []
     free_per_rank, per_rank = [0] * rank, [0] * rank
-    # a target is (node, its class, the free class index or -1, its position
-    # in the class); pulls take free members from the end of their class
-    targets: list[tuple[NodeId, _Class, int, int]] = []
     # by key between rank and id, so the search order is the same under
     # every labeling of the input tree; members are listed by id
     for (neg_rank, _), members in sorted(groups.items()):
@@ -231,20 +227,17 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         cls = _Class(
             rank=-neg_rank,
             members=members,
-            surplus=2 * st.zeros[members[0]] - st.size[members[0]],
+            surplus=st.surplus[members[0]],
             child_keys=[st.keys[c] for c in own],
             missing=sorted(set(range(-neg_rank)) - {st.rank[c] for c in own}),
+            free=st.union[members[0]],
         )
+        classes.append(cls)
         per_rank[cls.rank] += len(members)
-        ci = -1
-        if st.union[members[0]]:
-            ci = len(free)
-            free.append(cls)
+        if cls.free:
             free_per_rank[cls.rank] += len(members)
-        else:
-            needy.append(cls)
-        if cls.rank > 0:  # a rank-0 child is free and can receive nothing
-            targets.extend((x, cls, ci, pos) for pos, x in enumerate(members))
+    needy = [cls for cls in classes if not cls.free]
+    free = [cls for cls in classes if cls.free]
 
     # gain[r]: the most rank-0 surplus that kept children of rank r can
     # receive.  It comes from lower ranks, pushed or pulled, and each rank
@@ -252,7 +245,7 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     gain = [0] * (rank + 1)
     if any(cls.surplus < 0 for cls in needy):
         room = [n - 1 for n in per_rank]
-        for cls in sorted(needy + free, key=lambda cls: -cls.surplus):
+        for cls in sorted(classes, key=lambda cls: -cls.surplus):
             take = min(len(cls.members), room[cls.rank])
             room[cls.rank] -= take
             gain[cls.rank + 1] += take * max(cls.surplus, 0)
@@ -302,7 +295,7 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         st.tick()
         # slack[r]: pulls rank r can still lose while keeping one child at root
         slack = [kept_per_rank[r] + free_per_rank[r] - 1 for r in range(rank)]
-        steps = _assign_targets(st, needy, free, targets, slack)
+        steps = _assign_targets(st, classes, needy, free, slack)
         if steps is not None:
             return steps
     return None
@@ -333,11 +326,13 @@ class _Class:
     surplus: int  # rank-0 minus positive-rank nodes in a member's subtree
     child_keys: list[bytes]  # keys of a member's own children
     missing: list[int]  # ranks below the members' rank absent among those
+    free: bool = False  # whether a member's subtree is a Union tree
     kept: int = 0  # of a needy class: its first `kept` members stay at depth one
+    pulled: int = 0  # of a free class: its last `pulled` members are pulled below targets
 
 
 def _assign_targets(
-    st: _Search, needy: list[_Class], free: list[_Class], targets: list, slack: list[int]
+    st: _Search, classes: list[_Class], needy: list[_Class], free: list[_Class], slack: list[int]
 ) -> tuple[tuple[int, int], ...] | None:
     """Distribute pushed children and on-demand free pulls over the targets.
 
@@ -354,11 +349,15 @@ def _assign_targets(
     one level of a :func:`_depth_first` walk, so placement depth takes no
     Python frames.
     """
-    pulled = [0] * len(free)
     pushed = [(cls, cls.members[cls.kept :]) for cls in needy if cls.kept < len(cls.members)]
     remaining = [len(members) for _, members in pushed]
     lowest = min((cls.rank for cls, _ in pushed), default=len(slack))  # the root's rank
-    targets = [t for t in targets if t[3] < t[1].kept or t[2] >= 0 and t[1].rank > lowest]
+    # a target is (node, its class, its position in the class); pulls take
+    # free members from the end of their class
+    targets: list[tuple[NodeId, _Class, int]] = []
+    for cls in classes:
+        served = len(cls.members) if cls.free and cls.rank > lowest else cls.kept
+        targets.extend((x, cls, pos) for pos, x in enumerate(cls.members[:served]))
     plan: list[tuple[NodeId, _Class, list[NodeId]]] = []
 
     # Every target must end as a Union-Find tree, so its rank-0 surplus
@@ -380,10 +379,10 @@ def _assign_targets(
         # one yield per way to serve target ti; its grafts, pulls and surplus
         # stay booked while the generator is suspended
         nonlocal pool
-        x, cls, ci, pos = targets[ti]
+        x, cls, pos = targets[ti]
         if pool < 0:
             return
-        if ci >= 0 and pos >= len(cls.members) - pulled[ci]:
+        if cls.free and pos >= len(cls.members) - cls.pulled:
             yield  # pulled below an earlier target, it receives nothing
             return
         # targets come in descending rank, so the next one has the highest
@@ -397,14 +396,14 @@ def _assign_targets(
         # free pulls add between 0 and reach to the grafts' surplus, and the
         # way must end between 0 and the pool
         reach = sum(
-            (len(other.members) - pulled[fi]) * other.surplus
-            for fi, other in enumerate(free)
+            (len(other.members) - other.pulled) * other.surplus
+            for other in free
             if other.rank < cls.rank
         )
         weights = [pushed[j][0].surplus for j in eligible]
         for counts in _splits(split_ranges, weights, -reach - cls.surplus, pool - cls.surplus):
             st.tick()
-            if ci >= 0 and not any(counts):
+            if cls.free and not any(counts):
                 pool -= cls.surplus
                 yield  # an untouched free child is already a Union tree
                 pool += cls.surplus
@@ -417,8 +416,8 @@ def _assign_targets(
                 grafted.extend(members[used : used + take])
                 remaining[j] -= take
                 surplus += take * source.surplus
-            for pulls in _iter_pulls(st, free, pulled, slack, x, cls, grafted, surplus):
-                ends = surplus + sum(2 * st.zeros[y] - st.size[y] for y in pulls)
+            for pulls in _iter_pulls(st, free, slack, x, cls, grafted, surplus):
+                ends = surplus + sum(st.surplus[y] for y in pulls)
                 plan.append((x, cls, grafted + pulls))
                 pool -= ends
                 yield
@@ -514,7 +513,6 @@ def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
 def _iter_pulls(
     st: _Search,
     free: list[_Class],
-    pulled: list[int],
     slack: list[int],
     x: NodeId,
     x_cls: _Class,
@@ -533,49 +531,49 @@ def _iter_pulls(
     once per total.  Vectors that cannot possibly fix the subtree
     (missing positive ranks, rank-0 deficit) or that would hollow out the
     root's rank coverage are skipped without a search.  A yielded pull
-    stays booked in ``pulled`` and ``slack`` until the consumer asks for
-    the next one.
+    stays booked in its classes' ``pulled`` and in ``slack`` until the
+    consumer asks for the next one.
     """
     graft_ranks = {st.rank[y] for y in grafted}
     required = [r for r in x_cls.missing if r not in graft_ranks]
-    # (class, free index, available) entries; bookings are undone before the
-    # next vector, so the last `available` members of each class are unpulled.
+    # (class, available) entries; bookings are undone before the next
+    # vector, so the last `available` members of each class are unpulled.
     # High-surplus, wide classes first so both pruning rules bite early; a
     # free child's surplus is never negative, since it is a Union tree.
     pool = sorted(
         (
-            (cls, ci, len(cls.members) - pulled[ci])
-            for ci, cls in enumerate(free)
-            if cls.rank < x_cls.rank and len(cls.members) > pulled[ci]
+            (cls, len(cls.members) - cls.pulled)
+            for cls in free
+            if cls.rank < x_cls.rank and len(cls.members) > cls.pulled
         ),
-        key=lambda entry: (-entry[0].surplus, -entry[2]),
+        key=lambda entry: (-entry[0].surplus, -entry[1]),
     )
-    if not {cls.rank for cls, _, _ in pool}.issuperset(required):
+    if not {cls.rank for cls, _ in pool}.issuperset(required):
         return
 
     minima: list[tuple[int, ...]] = []
-    limits = [avail for _, _, avail in pool]
-    balances = [cls.surplus for cls, _, _ in pool]
+    limits = [avail for _, avail in pool]
+    balances = [cls.surplus for cls, _ in pool]
     for vec in _minimal_candidates(limits, minima, balances, -surplus):
         st.tick()
-        vec_ranks = {cls.rank for (cls, _, _), v in zip(pool, vec) if v}
+        vec_ranks = {cls.rank for (cls, _), v in zip(pool, vec) if v}
         if any(r not in vec_ranks for r in required):
             continue
         pulls: list[NodeId] = []
-        for (cls, _, avail), v in zip(pool, vec):
+        for (cls, avail), v in zip(pool, vec):
             pulls.extend(cls.members[avail - v : avail])
         if not _decide(st, x, x_cls, grafted + pulls):
             continue
         minima.append(vec)
-        for (cls, ci, _), v in zip(pool, vec):
-            pulled[ci] += v
+        for (cls, _), v in zip(pool, vec):
+            cls.pulled += v
             slack[cls.rank] -= v
         # a pool rank had slack >= 0 (it has free members); a pull that
         # drives it negative would leave the rank absent from the root
-        if all(slack[cls.rank] >= 0 for cls, _, _ in pool):
+        if all(slack[cls.rank] >= 0 for cls, _ in pool):
             yield pulls
-        for (cls, ci, _), v in zip(pool, vec):
-            pulled[ci] -= v
+        for (cls, _), v in zip(pool, vec):
+            cls.pulled -= v
             slack[cls.rank] += v
 
 
@@ -601,12 +599,10 @@ def _minimal_candidates(
         power[i] = power[i + 1] + limits[i] * balances[i]
     if deficit > power[0]:
         return
-    if n == 0:
-        yield ()
-        return
 
     def choose(i: int, state: tuple):
-        # live: (minimum, its last nonzero index) for each minimum the prefix is at or above
+        # live: (minimum, its last nonzero index) for each minimum the prefix
+        # is at or above; room[n] is 0, so the last coordinate takes the rest
         rest, need, prefix, live = state
         for v in range(max(0, rest - room[i + 1]), min(rest, limits[i]) + 1):
             left = need - v * balances[i]
@@ -623,10 +619,7 @@ def _minimal_candidates(
         live = [(m, max(j for j, v in enumerate(m) if v)) for m in minima if any(m)]
         if len(live) < len(minima):
             return  # the zero vector is a minimum
-        for rest, need, prefix, above in _depth_first(choose, n - 1, (total, deficit, (), live)):
-            # the last coordinate takes the rest of the total
-            if rest * balances[-1] >= need and not (above and any(m[-1] <= rest for m, _ in above)):
-                yield prefix + (rest,)
+        yield from (state[2] for state in _depth_first(choose, n, (total, deficit, (), live)))
 
 
 def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
@@ -655,7 +648,7 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
         return Verdict(True, REASON_UNION_TREE)
     root = t.root
     root_ranks = {t.rank[c] for c in t.children_of(root)}
-    reason = _refute(t.rank[root], t.rank.count(0), t.node_count, root_ranks)
+    reason = _refute(t.rank[root], 2 * t.rank.count(0) - t.node_count, t.node_count, root_ranks)
     if reason is not None:
         return Verdict(False, reason)
 

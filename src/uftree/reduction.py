@@ -228,11 +228,13 @@ def verify_reduction(inst: PartitionInstance) -> ReductionReport:
 
     When both are positive, the certificate's apple placements are converted
     back into a partition and re-validated against the per-part target.
+    The node cap is checked on the count :func:`make_flat_tree` documents,
+    before any tree is built.
     """
-    flat = make_flat_tree(inst)
-    n = flat.tree.node_count
+    n = 8 + sum(a + 2 for a in inst.weights) + inst.parts * (inst.target + 4)
     if n > VERIFY_NODE_CAP:
         raise CapExceeded(f"flat tree has {n} nodes, cap is {VERIFY_NODE_CAP}")
+    flat = make_flat_tree(inst)
     solution = solve_partition(inst)
     verdict = is_union_find_tree(flat.tree)
     agree = (solution is not None) == verdict.accepted

@@ -183,6 +183,12 @@ class TestReductionCommands:
         assert main(["verify", "1,1,4;2"]) == 0
         assert "agree=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("instance", ["250,250;2", "10000000,10000000;2"])
+    def test_verify_above_the_node_cap_is_a_resource_limit(self, capsys, instance):
+        # the second gadget would have ~4e7 nodes; the cap fires before it is built
+        assert main(["verify", instance]) == 3
+        assert "cap is 500" in capsys.readouterr().err
+
 
 class TestGen:
     def test_gen_then_check(self, tmp_path):

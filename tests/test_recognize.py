@@ -274,7 +274,7 @@ class TestRecognizer:
         st = _Search(t, None)
         for x in range(t.node_count):
             sub, _ = subtree(t, x)
-            assert st.zeros[x] == sub.rank.count(0)
+            assert st.surplus[x] == 2 * sub.rank.count(0) - sub.node_count
             assert st.size[x] == sub.node_count
             assert st.union[x] == is_union_tree(sub)
 
@@ -560,6 +560,10 @@ class TestMinimalCandidates:
             ([2, 1, 2], [0, 1, 0], 1, lambda vec: sum(vec) == 3),
             ([1, 2, 2], [2, 1, 0], -1, lambda vec: True),  # the zero vector wins
             ([1, 1, 1], [1, 1, 1], 2, lambda vec: vec[0] == 1),
+            ([3], [2], 3, lambda vec: True),  # one coordinate takes the whole total
+            ([3], [2], 3, lambda vec: False),
+            ([0, 2, 0], [1, 1, 1], 1, lambda vec: False),  # a zero limit is always 0
+            ([2, 0], [1, 5], 1, lambda vec: vec == (2, 0)),  # the last limit is zero
         ],
     )
     def test_edge_cases_match_the_reference(self, limits, balances, deficit, succeeds):

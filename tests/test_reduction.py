@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uftree import reduction
 from uftree.errors import CapExceeded, FormatError
 from uftree.recognize import brute_force_is_uf, check_certificate, count_filter, is_union_find_tree
 from uftree.reduction import (
+    VERIFY_NODE_CAP,
     FlatTree,
     PartitionInstance,
     PartitionSolution,
@@ -228,9 +230,27 @@ class TestVerifyReduction:
         flat = make_flat_tree(PartitionInstance((1, 1), 2))
         assert extract_solution(flat, Certificate(())) is None
 
-    def test_node_cap(self):
-        with pytest.raises(CapExceeded):
+    def test_node_cap(self, monkeypatch):
+        # the cap fires on the counted size, before the tree is built
+        def refuse(inst):
+            raise AssertionError("make_flat_tree called above the cap")
+
+        monkeypatch.setattr(reduction, "make_flat_tree", refuse)
+        with pytest.raises(CapExceeded, match="1020 nodes"):
             verify_reduction(PartitionInstance((250, 250), 2))
+        with pytest.raises(CapExceeded):
+            verify_reduction(PartitionInstance((10**7, 10**7), 2))
+
+    # 243;1 builds exactly VERIFY_NODE_CAP nodes, 244;1 and 121,122;1 two more
+    @pytest.mark.parametrize("text", ["1,1,1;3", "243;1", "244;1", "121,122;1"])
+    def test_node_cap_counts_the_built_tree(self, text):
+        inst = parse_instance(text)
+        n = make_flat_tree(inst).tree.node_count
+        if n > VERIFY_NODE_CAP:
+            with pytest.raises(CapExceeded, match=f"{n} nodes"):
+                verify_reduction(inst)
+        else:
+            assert verify_reduction(inst).agree
 
     def test_report_format(self):
         text = format_report(verify_reduction(parse_instance("2,2;2")))
