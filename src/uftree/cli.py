@@ -34,11 +34,14 @@ def _default_seed() -> int:
         raise ValueError(f"UFTREE_SEED must be an integer, got {value!r}") from None
 
 
+def _node_cap(max_nodes: int | None) -> int:
+    return max_nodes if max_nodes is not None else PARSE_NODE_CAP
+
+
 def _load_tree(path: str, max_nodes: int | None) -> RankedTree:
-    cap = max_nodes if max_nodes is not None else PARSE_NODE_CAP
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_tree(text, max_nodes=cap)
+    return parse_tree(text, max_nodes=_node_cap(max_nodes))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -69,6 +72,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     inst = reduction.parse_instance(args.instance)
+    reduction.check_flat_tree_size(inst, _node_cap(args.max_nodes))  # the cap `check` parses under
     flat = reduction.make_flat_tree(inst)
     _write_output(serialize_tree(flat.tree), args.output)
     return EXIT_ACCEPTED
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-nodes",
         type=int,
         default=None,
-        help="node cap for parsing (default 100000) and the oracle (default 10)",
+        help="node cap for parsing and reduce output (default 100000) and the oracle (default 10)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -144,6 +144,18 @@ class _Search:
         size = 1 + sum(self.size[c] for c in kids)
         return ranks, surplus, size, len(ranks) == rank and all(self.union[c] for c in kids)
 
+    def floors(self, rank: int, kids: list[NodeId], need: list[int]) -> list[int]:
+        """``need`` less the kids of each rank, plus the needy kids of rank - 1
+        that miss it.  Nothing outranks such a kid, so it stays, and each rank
+        it misses takes a sibling of that rank while the root keeps another."""
+        need = need[:]
+        for c in kids:
+            need[self.rank[c]] -= 1
+            if self.rank[c] == rank - 1 and not self.union[c]:
+                for r in set(range(rank - 1)).difference([self.rank[g] for g in self.table[c]]):
+                    need[r] += 1
+        return need
+
     def key(self, cls: _Class, grafted: list[NodeId]) -> bytes:
         """Canonical key of a member of cls with the grafted subtrees below it."""
         return node_key(cls.rank, cls.child_keys + [self.keys[y] for y in grafted])
@@ -230,6 +242,7 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
             surplus=st.surplus[members[0]],
             child_keys=[st.keys[c] for c in own],
             missing=sorted(set(range(-neg_rank)) - {st.rank[c] for c in own}),
+            need=st.floors(-neg_rank, own, [1] * -neg_rank),
             free=st.union[members[0]],
         )
         classes.append(cls)
@@ -326,6 +339,7 @@ class _Class:
     surplus: int  # rank-0 minus positive-rank nodes in a member's subtree
     child_keys: list[bytes]  # keys of a member's own children
     missing: list[int]  # ranks below the members' rank absent among those
+    need: list[int]  # per rank, the least a member must pull (_Search.floors)
     free: bool = False  # whether a member's subtree is a Union tree
     kept: int = 0  # of a needy class: its first `kept` members stay at depth one
     pulled: int = 0  # of a free class: its last `pulled` members are pulled below targets
@@ -528,37 +542,32 @@ def _iter_pulls(
     witness pulling more than a minimal fix could have left the surplus at
     the root instead.  A success recorded during one total is above no
     other vector of that total, so the enumeration reads the successes
-    once per total.  Vectors that cannot possibly fix the subtree
-    (missing positive ranks, rank-0 deficit) or that would hollow out the
-    root's rank coverage are skipped without a search.  A yielded pull
-    stays booked in its classes' ``pulled`` and in ``slack`` until the
-    consumer asks for the next one.
+    once per total.  Vectors short of the rank-0 deficit or below a rank's
+    floor (:meth:`_Search.floors`) are never generated, and those that would
+    hollow out the root's rank coverage are skipped without a search.  A
+    yielded pull stays booked in its classes' ``pulled`` and in ``slack``
+    until the consumer asks for the next one.
     """
-    graft_ranks = {st.rank[y] for y in grafted}
-    required = [r for r in x_cls.missing if r not in graft_ranks]
+    need = st.floors(x_cls.rank, grafted, x_cls.need)
     # (class, available) entries; bookings are undone before the next
     # vector, so the last `available` members of each class are unpulled.
-    # High-surplus, wide classes first so both pruning rules bite early; a
-    # free child's surplus is never negative, since it is a Union tree.
+    # Floored, then high-surplus, wide classes first so every pruning rule
+    # bites early; a free child's surplus is never negative (a Union tree).
     pool = sorted(
         (
             (cls, len(cls.members) - cls.pulled)
             for cls in free
             if cls.rank < x_cls.rank and len(cls.members) > cls.pulled
         ),
-        key=lambda entry: (-entry[0].surplus, -entry[1]),
+        key=lambda entry: (need[entry[0].rank] < 1, -entry[0].surplus, -entry[1]),
     )
-    if not {cls.rank for cls, _ in pool}.issuperset(required):
-        return
 
     minima: list[tuple[int, ...]] = []
     limits = [avail for _, avail in pool]
     balances = [cls.surplus for cls, _ in pool]
-    for vec in _minimal_candidates(limits, minima, balances, -surplus):
+    ranks = [cls.rank for cls, _ in pool]
+    for vec in _minimal_candidates(limits, minima, balances, -surplus, ranks, need):
         st.tick()
-        vec_ranks = {cls.rank for (cls, _), v in zip(pool, vec) if v}
-        if any(r not in vec_ranks for r in required):
-            continue
         pulls: list[NodeId] = []
         for (cls, avail), v in zip(pool, vec):
             pulls.extend(cls.members[avail - v : avail])
@@ -578,33 +587,42 @@ def _iter_pulls(
 
 
 def _minimal_candidates(
-    limits: list[int], minima: list[tuple[int, ...]], balances: list[int], deficit: int
+    limits: list[int], minima: list[tuple[int, ...]], balances: list[int], deficit: int,
+    groups: list[int], floors: list[int],
 ):
     """Vectors up to ``limits``, ascending by total and then lexicographically,
-    whose weighted sum against ``balances`` reaches ``deficit`` and that sit
-    at or above none of the ``minima``.
+    whose weighted sum against ``balances`` reaches ``deficit``, whose
+    coordinates in each group g (``groups[i]`` is i's) sum to at least
+    ``floors[g]``, and that sit at or above none of the ``minima``.
 
     The consumer appends its successes to ``minima``.  One prefix walk per
-    total cuts a prefix that can no longer reach the deficit or fill the
-    total, or that sits at or above a minimum whose remaining coordinates
-    are all zero; it carries down only the minima its prefix sits at or
-    above.  ``minima`` is read once per total: a minimum recorded during
-    total t has total t, so it is above no other vector of that total.
+    total, from the floors' sum up, cuts a prefix that can no longer reach
+    the deficit, fill the total, or meet every floor, or that sits at or
+    above a minimum whose remaining coordinates are all zero; it carries
+    down only the minima its prefix sits at or above.  ``minima`` is read
+    once per total: a minimum recorded during total t has total t, so it
+    is above no other vector of that total.
     """
     n = len(limits)
     # room[i], power[i]: the most coordinates i.. add to the total and to the weighted sum
     room, power = [0] * (n + 1), [0] * (n + 1)
+    after, cap = [0] * n, [0] * len(floors)  # after[i]: the most i's group adds after i
     for i in range(n - 1, -1, -1):
         room[i] = room[i + 1] + limits[i]
         power[i] = power[i + 1] + limits[i] * balances[i]
-    if deficit > power[0]:
+        after[i] = cap[groups[i]]
+        cap[groups[i]] += limits[i]
+    if deficit > power[0] or any(f > c for f, c in zip(floors, cap)):
         return
+    short = [max(f, 0) for f in floors]  # what each group still lacks, booked per prefix
 
     def choose(i: int, state: tuple):
-        # live: (minimum, its last nonzero index) for each minimum the prefix
-        # is at or above; room[n] is 0, so the last coordinate takes the rest
-        rest, need, prefix, live = state
-        for v in range(max(0, rest - room[i + 1]), min(rest, limits[i]) + 1):
+        # live: (minimum, its last nonzero index) for each minimum the prefix is
+        # at or above; lack: sum(short); room[n] is 0, so the last v is the rest
+        rest, need, prefix, live, lack = state
+        g, owed = groups[i], short[groups[i]]
+        low, high = max(0, rest - room[i + 1], owed - after[i]), rest - lack + owed
+        for v in range(low, min(high, limits[i]) + 1):
             left = need - v * balances[i]
             if left > power[i + 1]:
                 continue
@@ -613,13 +631,17 @@ def _minimal_candidates(
                 above = [(m, last) for m, last in live if m[i] <= v]
                 if any(last <= i for _, last in above):
                     break  # so is every larger v
-            yield rest - v, left, prefix + (v,), above
+            paid = min(v, owed)
+            short[g] -= paid
+            yield rest - v, left, prefix + (v,), above, lack - paid
+            short[g] += paid
 
-    for total in range(room[0] + 1):
+    lack = sum(short)
+    for total in range(lack, room[0] + 1):
         live = [(m, max(j for j, v in enumerate(m) if v)) for m in minima if any(m)]
         if len(live) < len(minima):
             return  # the zero vector is a minimum
-        yield from (state[2] for state in _depth_first(choose, n, (total, deficit, (), live)))
+        yield from (state[2] for state in _depth_first(choose, n, (total, deficit, (), live, lack)))
 
 
 def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
@@ -636,12 +658,12 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     and id, so the search effort does not depend on the tree's labeling.
 
     ``budget`` caps the search effort in ticks, spent on subtree
-    decisions, candidate probes and keep vectors; a keep vector the
-    per-rank test rules out costs one tick, and the last class's ruled-out
-    counts are charged together; the counts the surplus cap rules out are
-    never searched and cost nothing.  When the budget runs out the verdict
-    is the inconclusive ``search-exhausted``; without one the search always
-    ends with a definite answer.
+    decisions, candidate probes and keep vectors; the last class's keep
+    counts that the per-rank test rules out are charged together, one tick
+    each.  Keep counts the surplus cap rules out, and pull vectors below a
+    rank's floor, are never searched and cost nothing.  When the budget
+    runs out the verdict is the inconclusive ``search-exhausted``; without
+    one the search always ends with a definite answer.
     """
     validate(t).raise_if_invalid()
     if is_union_tree(t):

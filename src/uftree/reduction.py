@@ -151,6 +151,13 @@ def make_flat_tree(inst: PartitionInstance) -> FlatTree:
     )
 
 
+def check_flat_tree_size(inst: PartitionInstance, cap: int) -> None:
+    """Raise CapExceeded if :func:`make_flat_tree` would build over ``cap`` nodes."""
+    n = 8 + sum(a + 2 for a in inst.weights) + inst.parts * (inst.target + 4)
+    if n > cap:
+        raise CapExceeded(f"flat tree has {n} nodes, cap is {cap}")
+
+
 def solve_partition(inst: PartitionInstance) -> PartitionSolution | None:
     """Exhaustive k-way Partition search, or None when unsolvable.
 
@@ -228,12 +235,9 @@ def verify_reduction(inst: PartitionInstance) -> ReductionReport:
 
     When both are positive, the certificate's apple placements are converted
     back into a partition and re-validated against the per-part target.
-    The node cap is checked on the count :func:`make_flat_tree` documents,
-    before any tree is built.
+    The node cap is checked before any tree is built.
     """
-    n = 8 + sum(a + 2 for a in inst.weights) + inst.parts * (inst.target + 4)
-    if n > VERIFY_NODE_CAP:
-        raise CapExceeded(f"flat tree has {n} nodes, cap is {VERIFY_NODE_CAP}")
+    check_flat_tree_size(inst, VERIFY_NODE_CAP)
     flat = make_flat_tree(inst)
     solution = solve_partition(inst)
     verdict = is_union_find_tree(flat.tree)

@@ -3,7 +3,7 @@
 import pytest
 
 from support import many_needy_classes, many_repairs, wide_tree
-from uftree import cli, recognize, tree
+from uftree import cli, recognize, reduction, tree
 from uftree.cli import main
 from uftree.forest import random_uf_tree
 from uftree.recognize import check_certificate, parse_certificate
@@ -172,6 +172,24 @@ class TestReductionCommands:
         assert main(["reduce", "2,2;2"]) == 0
         tree = parse_tree(capsys.readouterr().out)
         assert tree.root_rank == 4
+
+    def test_reduce_above_the_parse_cap_is_a_resource_limit(self, capsys, monkeypatch):
+        # 600,020 nodes, which `check` would refuse to parse; none is built
+        def unbuilt(inst):
+            raise AssertionError("make_flat_tree was called")
+
+        monkeypatch.setattr(reduction, "make_flat_tree", unbuilt)
+        assert main(["reduce", "150000,150000;2"]) == 3
+        assert "600020 nodes, cap is 100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap, code", [(24, 0), (23, 3)])
+    def test_reduce_takes_the_node_cap_of_check(self, tmp_path, cap, code):
+        # "1,1;2" compiles to exactly 24 nodes
+        out_file = tmp_path / "flat.tree"
+        assert main(["--max-nodes", str(cap), "reduce", "1,1;2", "-o", str(out_file)]) == code
+        assert out_file.exists() == (code == 0)
+        if code == 0:
+            assert parse_tree(out_file.read_text(), max_nodes=cap).node_count == cap
 
     def test_verify_agreement(self, capsys):
         assert main(["verify", "1,2,3,4,4;2"]) == 0

@@ -287,35 +287,40 @@ class TestRecognizer:
             # the gadget tail probe: splits that overfill a basket are never
             # tried, and no keep vector keeps an apple
             (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 253),
-            (lambda: random_uf_tree(60, 0), 42),
-            (lambda: random_uf_tree(100, 0), 51),
-            (lambda: random_uf_tree(200, 4), 128),
-            (lambda: random_uf_tree(400, 1), 940),
-            (lambda: random_uf_tree(400, 2), 2120),
+            (lambda: random_uf_tree(60, 0), 31),
+            (lambda: random_uf_tree(100, 0), 40),
+            # pull vectors below a rank's floor are never walked or ticked
+            (lambda: random_uf_tree(100, 1), 1132),
+            (lambda: random_uf_tree(200, 4), 75),
+            (lambda: random_uf_tree(400, 1), 884),
+            (lambda: random_uf_tree(400, 2), 1957),
             # most of its ticks are keep counts the per-rank test refutes
-            (lambda: random_uf_tree(400, 7), 1785),
+            (lambda: random_uf_tree(400, 7), 1557),
             # unsolvable: the search refutes it
             (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 212),
             # free children that outrank no pushed class are no targets
-            (lambda: wide_tree(900), 7),
+            (lambda: wide_tree(900), 6),
             # the same effort under any labeling of the same trees
             (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 84),
             (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 84),
-            (lambda: relabel(random_uf_tree(200, 4)), 128),
-            (lambda: relabel(random_uf_tree(200, 4), 3), 128),
+            (lambda: relabel(random_uf_tree(200, 4)), 75),
+            (lambda: relabel(random_uf_tree(200, 4), 3), 75),
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
-            "uf200-s4", "uf400-s1", "uf400-s2", "uf400-s7", "flat-44519971", "wide-k900",
-            "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
+            "uf100-s1", "uf200-s4", "uf400-s1", "uf400-s2", "uf400-s7", "flat-44519971",
+            "wide-k900", "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled",
         ],
     )
     def test_search_effort_is_pinned(self, build, ticks):
         # the smallest deciding budget: a change here changes the search itself
         t = build()
-        assert is_union_find_tree(t, budget=ticks).reason != REASON_BUDGET
+        verdict = is_union_find_tree(t, budget=ticks)
+        assert verdict.reason != REASON_BUDGET
         assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+        if verdict.certificate is not None:
+            assert check_certificate(t, verdict.certificate)
 
     def test_benchmark_corpora_are_searched_as_pinned(self, tmp_path, monkeypatch):
         # verdict, ticks and certificate of the 71 seed-0 instances of the
@@ -345,8 +350,30 @@ class TestRecognizer:
             digest.update(repr((inst.id, verdict.reason, ticks, steps)).encode())
         assert len(instances) == 71
         assert digest.hexdigest() == (
-            "c772a79500519e32a3c0b199a8f79e71453c7344a7e28c87f3e31b5affa6b2b1"
+            "24822bf5aa551ff4f2e004d8880460b65c9be3001a26250677a48e6b682bcfce"
         )
+
+    def test_pull_walk_cost_is_pinned(self, tmp_path, monkeypatch):
+        # prefixes the candidate and split walks visit over the 37 seed-0
+        # engine-positives trees at budget 20,000: work that ticks miss
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        prefixes = [0]
+        depth_first = recognize._depth_first
+
+        def counted(stage, depth, state=None):
+            def counting(i, state):
+                prefixes[0] += 1
+                return stage(i, state)
+
+            return depth_first(counting if stage.__name__ == "choose" else stage, depth, state)
+
+        monkeypatch.setattr(recognize, "_depth_first", counted)
+        instances = workloads.engine_setup(0, tmp_path).instances
+        for inst in instances:
+            is_union_find_tree(inst.tree, budget=20_000)
+        assert len(instances) == 37
+        assert prefixes[0] == 7912
 
     def test_search_rejection_names_the_search(self):
         # the root passes every filter; a filter that fired in some abandoned
@@ -424,11 +451,24 @@ class TestRecognizer:
 
     @pytest.mark.parametrize(
         "s, ticks",
-        [(197, 24), (1070, 20), (1390, 14), (339, 32), (440, 39), (1088, 48), (1438, 93)],
+        [(197, 15), (1070, 11), (1390, 14), (339, 5), (440, 12), (1088, 12), (1438, 48)],
     )
     def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s, ticks):
         # trees of the 1,500-tree oracle sweep on which the keep stage caps a
         # needy class below its size, at their smallest deciding budget
+        t = mutated_engine_tree(s)
+        verdict = is_union_find_tree(t, budget=ticks)
+        assert verdict.reason != REASON_BUDGET
+        assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+        assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
+        if verdict.certificate is not None:
+            assert check_certificate(t, verdict.certificate), s
+
+    @pytest.mark.parametrize("s, ticks", [(82, 13), (258, 15), (535, 27), (544, 11), (917, 49)])
+    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(self, s, ticks):
+        # trees of the 1,500-tree oracle sweep on which a rank's pull floor
+        # of 2 or more cuts a vector that covers every missing rank, at
+        # their smallest deciding budget
         t = mutated_engine_tree(s)
         verdict = is_union_find_tree(t, budget=ticks)
         assert verdict.reason != REASON_BUDGET
@@ -526,23 +566,27 @@ class TestRecognizer:
             assert len(verdict.certificate) <= gap <= st_seed.node_count**2
 
 
-def reference_candidates(limits, minima, balances, deficit):
+def reference_candidates(limits, minima, balances, deficit, groups, floors):
     """Every vector up to the limits by total, then lexicographically, less
-    those short of the deficit and those at or above a recorded minimum."""
+    those short of the deficit, those whose coordinates in some group sum
+    below its floor, and those at or above a recorded minimum."""
     space = itertools.product(*(range(limit + 1) for limit in limits))
     for vec in sorted(space, key=lambda vec: (sum(vec), vec)):
         if sum(v * b for v, b in zip(vec, balances)) < deficit:
+            continue
+        sums = [sum(v for v, g in zip(vec, groups) if g == h) for h in range(len(floors))]
+        if any(total < floor for total, floor in zip(sums, floors)):
             continue
         if any(all(v >= m for v, m in zip(vec, low)) for low in minima):
             continue
         yield vec
 
 
-def consumed(enumerate_, limits, balances, deficit, succeeds):
+def consumed(enumerate_, limits, balances, deficit, succeeds, groups, floors):
     """The vectors an enumeration yields to a consumer that records each
     success as a minimum, the way the pull search does."""
     minima, seen = [], []
-    for vec in enumerate_(limits, minima, balances, deficit):
+    for vec in enumerate_(limits, minima, balances, deficit, groups, floors):
         seen.append(vec)
         if succeeds(vec):
             minima.append(vec)
@@ -551,24 +595,37 @@ def consumed(enumerate_, limits, balances, deficit, succeeds):
 
 class TestMinimalCandidates:
     @pytest.mark.parametrize(
-        "limits, balances, deficit, succeeds",
+        "limits, balances, deficit, succeeds, groups, floors",
         [
-            ([], [], 0, lambda vec: False),
-            ([], [], 1, lambda vec: True),
-            ([2, 3], [0, 0], 0, lambda vec: False),
-            ([2, 3], [0, 0], 1, lambda vec: True),
-            ([2, 1, 2], [0, 1, 0], 1, lambda vec: sum(vec) == 3),
-            ([1, 2, 2], [2, 1, 0], -1, lambda vec: True),  # the zero vector wins
-            ([1, 1, 1], [1, 1, 1], 2, lambda vec: vec[0] == 1),
-            ([3], [2], 3, lambda vec: True),  # one coordinate takes the whole total
-            ([3], [2], 3, lambda vec: False),
-            ([0, 2, 0], [1, 1, 1], 1, lambda vec: False),  # a zero limit is always 0
-            ([2, 0], [1, 5], 1, lambda vec: vec == (2, 0)),  # the last limit is zero
+            ([], [], 0, lambda vec: False, [], [0]),
+            ([], [], 1, lambda vec: True, [], [0]),
+            ([2, 3], [0, 0], 0, lambda vec: False, [0, 1], [0, 0]),
+            ([2, 3], [0, 0], 1, lambda vec: True, [0, 1], [0, 0]),
+            ([2, 1, 2], [0, 1, 0], 1, lambda vec: sum(vec) == 3, [0, 1, 2], [0, 0, 0]),
+            ([1, 2, 2], [2, 1, 0], -1, lambda vec: True, [0, 1, 2], [0, 0, 0]),  # zero wins
+            ([1, 1, 1], [1, 1, 1], 2, lambda vec: vec[0] == 1, [0, 1, 2], [0, 0, 0]),
+            ([3], [2], 3, lambda vec: True, [0], [0]),  # one coordinate takes the whole total
+            ([3], [2], 3, lambda vec: False, [0], [0]),
+            ([0, 2, 0], [1, 1, 1], 1, lambda vec: False, [0, 1, 2], [0, 0, 0]),  # a zero limit
+            ([2, 0], [1, 5], 1, lambda vec: vec == (2, 0), [0, 1], [0, 0]),  # last limit zero
+            # several coordinates of one group share its floor
+            ([2, 1, 2], [0, 0, 0], 0, lambda vec: False, [0, 1, 0], [3, 0]),
+            ([2, 1, 2], [1, 0, 1], 0, lambda vec: vec[1] == 1, [0, 1, 0], [2, 1]),
+            ([1, 1, 1], [0, 0, 0], 0, lambda vec: False, [0, 0, 0], [3]),  # only the full vector
+            # a floor above its group's capacity, or on a group with no coordinate
+            ([1, 2], [1, 1], 0, lambda vec: True, [0, 1], [2, 0]),
+            ([2], [1], 0, lambda vec: True, [0], [0, 1]),
+            # floors at or below 0 cut nothing
+            ([2, 3], [1, 0], 1, lambda vec: sum(vec) == 2, [0, 1], [-1, -3]),
+            # a floored group's minimum still cuts the vectors above it
+            ([2, 2, 1], [1, 0, 2], 2, lambda vec: vec[0] >= 1, [1, 0, 1], [1, 1]),
         ],
     )
-    def test_edge_cases_match_the_reference(self, limits, balances, deficit, succeeds):
-        expected = consumed(reference_candidates, limits, balances, deficit, succeeds)
-        assert consumed(_minimal_candidates, limits, balances, deficit, succeeds) == expected
+    def test_edge_cases_match_the_reference(
+        self, limits, balances, deficit, succeeds, groups, floors
+    ):
+        case = limits, balances, deficit, succeeds, groups, floors
+        assert consumed(_minimal_candidates, *case) == consumed(reference_candidates, *case)
 
     def test_random_cases_match_the_reference(self):
         # the order is part of the contract: search ticks follow it
@@ -578,18 +635,30 @@ class TestMinimalCandidates:
             limits = [rng.randint(0, 3) for _ in range(n)]
             balances = [rng.randint(0, 3) for _ in range(n)]
             deficit = rng.randint(-2, sum(l * b for l, b in zip(limits, balances)) + 1)
+            groups = [rng.randint(0, 2) for _ in range(n)]
+            # now and then one above a group's capacity, which no vector can meet
+            capacity = [sum(l for l, g in zip(limits, groups) if g == h) for h in range(3)]
+            floors = [rng.randint(-1, cap + (rng.random() < 0.1)) for cap in capacity]
             rate = rng.random()
 
             def succeeds(vec):
                 return random.Random(f"{seed}/{vec}").random() < rate
 
-            expected = consumed(reference_candidates, limits, balances, deficit, succeeds)
-            got = consumed(_minimal_candidates, limits, balances, deficit, succeeds)
-            assert got == expected, (limits, balances, deficit, rate)
+            case = limits, balances, deficit, succeeds, groups, floors
+            expected = consumed(reference_candidates, *case)
+            assert consumed(_minimal_candidates, *case) == expected, case
+            # floors at or below 0 leave the floor-free sequence exactly
+            unfloored = [min(floor, 0) for floor in floors]
+            expected = consumed(reference_candidates, limits, balances, deficit, succeeds, (), ())
+            got = consumed(_minimal_candidates, *case[:4], groups, unfloored)
+            assert got == expected, case
 
     def test_coordinates_take_no_stack_frames(self):
         # a frame per coordinate would overflow at 2,000
-        assert next(_minimal_candidates([1] * 2000, [], [0] * 2000, 0)) == (0,) * 2000
+        walk = _minimal_candidates([1] * 2000, [], [0] * 2000, 0, [0] * 2000, [0])
+        assert next(walk) == (0,) * 2000
+        walk = _minimal_candidates([1] * 2000, [], [0] * 2000, 0, [0] * 2000, [2000])
+        assert list(walk) == [(1,) * 2000]
 
 
 def reference_splits(ranges, weights, lo, hi):
@@ -678,7 +747,7 @@ def last_classes(draw):
     cls_rank = draw(st.integers(0, rank - 1))
     missing = [r for r in range(cls_rank) if draw(st.booleans())]
     members = draw(st.integers(1, 6))
-    cls = _Class(cls_rank, list(range(members)), 0, [], missing)
+    cls = _Class(cls_rank, list(range(members)), 0, [], missing, [])
     counts = range(members, draw(st.integers(0, members)) - 1, -1)
     return cls, counts, per_rank, kept_per_rank, demand
 
@@ -699,7 +768,7 @@ class TestSupplied:
         # a rank-1 class of two that misses rank 0, beside one free rank-1
         # child; three kept rank-2 children miss rank 1.  At k = 0 the free
         # child must stay for the root, so it supplies nothing
-        cls = _Class(1, [7, 8], 0, [], [0])
+        cls = _Class(1, [7, 8], 0, [], [0], [])
         counts = range(2, -1, -1)
         state = [3, 3, 3], [0, 0, 3], [0, demand_1, 0]
         assert list(_supplied(cls, counts, *state)) == expected
@@ -707,7 +776,7 @@ class TestSupplied:
 
     def test_a_failing_rank_the_class_does_not_touch_refutes_every_count(self):
         # rank 2 keeps one child and must supply one more, but has only one
-        cls = _Class(1, [7, 8, 9], 0, [], [0])
+        cls = _Class(1, [7, 8, 9], 0, [], [0], [])
         counts = range(3, -1, -1)
         state = [9, 9, 1], [0, 0, 1], [0, 0, 1]
         assert list(_supplied(cls, counts, *state)) == []

@@ -15,6 +15,7 @@ from uftree.reduction import (
     PartitionInstance,
     PartitionSolution,
     extract_solution,
+    check_flat_tree_size,
     format_instance,
     format_report,
     is_valid_solution,
@@ -127,6 +128,9 @@ class TestFlatTree:
             inst = PartitionInstance(weights, k)
             expected = 8 + sum(a + 2 for a in weights) + k * (inst.target + 4)
             assert make_flat_tree(inst).tree.node_count == expected
+            check_flat_tree_size(inst, expected)  # a tree exactly at the cap passes
+            with pytest.raises(CapExceeded):
+                check_flat_tree_size(inst, expected - 1)
 
 
 class TestSolver:
