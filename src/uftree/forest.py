@@ -199,25 +199,67 @@ def random_uf_tree(n: int, seed: int, collapse_prob: float = 0.25) -> RankedTree
     rng = random.Random(seed)
     engine = Forest()
     engine.makeset(n)
-    trees = [[x] for x in range(n)]  # elements by node id, root first (merge order)
+    # trees[s]: the elements of the tree in slot s by node id, root first
+    # (merge order), or None once merged away; live: the slots of the trees
+    # left, in the list order the draws index.  A slot's size stays put in
+    # the Fenwick tree, and a merged-away slot weighs 0.
+    trees: list[list[int] | None] = [[x] for x in range(n)]
+    live, sizes = list(range(n)), _Fenwick(n)
 
     def merge_two() -> None:
-        i, j = rng.sample(range(len(trees)), 2)
+        p, q = rng.sample(range(len(live)), 2)
+        i, j = live[p], live[q]
         if engine.rank[trees[i][0]] < engine.rank[trees[j][0]]:
-            i, j = j, i
+            i, j, q = j, i, p
         engine.union(trees[i][0], trees[j][0])
+        sizes.add(i, len(trees[j]))
+        sizes.add(j, -len(trees[j]))
         trees[i] += trees[j]
-        trees.pop(j)
+        trees[j] = None
+        live.pop(q)
 
     for _ in range(2 * n):
         if rng.random() < collapse_prob:
-            i = rng.choices(range(len(trees)), weights=list(map(len, trees)))[0]
+            # rng.choices weighted by size: the first tree whose running size
+            # exceeds random() * n, and the last tree should that round to n
+            i = sizes.first_above(min(rng.random() * n, n - 1))
             engine.find(trees[i][rng.randrange(len(trees[i]))])
-        elif len(trees) > 1:
+        elif len(live) > 1:
             merge_two()
-    while len(trees) > 1:
+    while len(live) > 1:
         merge_two()
-    return induced_tree(engine.parent, engine.rank, trees[0], trees[0][0])
+    last = trees[live[0]]
+    return induced_tree(engine.parent, engine.rank, last, last[0])
+
+
+class _Fenwick:
+    """Prefix sums of n non-negative slot weights, each 1 at the start, under
+    point updates, and the first slot whose prefix sum exceeds a bound, each
+    in O(log n)."""
+
+    __slots__ = ("tree", "top")
+
+    def __init__(self, n: int):
+        # tree[i] sums the weights of slots i - (i & -i) .. i - 1
+        self.tree = [i & -i for i in range(n + 1)]
+        self.top = 1 << (n.bit_length() - 1)  # the widest span a descent can take
+
+    def add(self, slot: int, delta: int) -> None:
+        tree, i, end = self.tree, slot + 1, len(self.tree)
+        while i < end:
+            tree[i] += delta
+            i += i & -i
+
+    def first_above(self, bound: float) -> int:
+        """The first slot whose prefix sum exceeds ``bound``, which must lie
+        below the total."""
+        tree, pos, total, step, end = self.tree, 0, 0, self.top, len(self.tree)
+        while step:
+            if pos + step < end and total + tree[pos + step] <= bound:
+                pos += step
+                total += tree[pos]
+            step >>= 1
+        return pos
 
 
 # --- exhaustive enumeration -------------------------------------------------

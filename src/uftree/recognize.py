@@ -129,13 +129,23 @@ class _Search:
         self.rank = t.rank
         self.table = t.child_table()
         self.keys = subtree_keys(t, self.table)
-        n = t.node_count
-        self.surplus, self.size, self.union = [0] * n, [1] * n, [True] * n
-        # ranks strictly decrease downward, so this order is bottom-up
-        for x in sorted(range(n), key=t.rank.__getitem__):
-            _, self.surplus[x], self.size[x], self.union[x] = self.facts(
-                t.rank[x], self.table[x]
-            )
+        parent = t.parent
+        surplus, size = [1 if r == 0 else -1 for r in t.rank], [1] * t.node_count
+        # a node's own Union condition: as many distinct child ranks as its
+        # rank (is_union_tree); the root's pair lands on the spare last slot
+        distinct = [0] * (t.node_count + 1)
+        for p, _ in set(zip(parent, t.rank)):
+            distinct[p] += 1
+        union = [d == r for d, r in zip(distinct, t.rank)]
+        # ranks strictly decrease downward, so this order is bottom-up; the
+        # root comes last and has no parent to add into
+        for x in sorted(range(t.node_count), key=t.rank.__getitem__)[:-1]:
+            p = parent[x]
+            surplus[p] += surplus[x]
+            size[p] += size[x]
+            if not union[x]:
+                union[p] = False
+        self.surplus, self.size, self.union = surplus, size, union
 
     def facts(self, rank: int, kids: list[NodeId]) -> tuple[set[int], int, int, bool]:
         """Child ranks, rank-0 surplus, size and Union flag of a rank over kids."""
@@ -242,7 +252,6 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
             surplus=st.surplus[members[0]],
             child_keys=[st.keys[c] for c in own],
             missing=sorted(set(range(-neg_rank)) - {st.rank[c] for c in own}),
-            need=st.floors(-neg_rank, own, [1] * -neg_rank),
             free=st.union[members[0]],
         )
         classes.append(cls)
@@ -264,47 +273,7 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
             gain[cls.rank + 1] += take * max(cls.surplus, 0)
         gain = list(accumulate(gain))
 
-    # of the needy classes kept so far: members kept per rank, and how many
-    # kept members miss each rank
-    kept_per_rank, demand = [0] * rank, [0] * rank
-
-    def keep(i: int, _):
-        # Decide, class by class in decreasing rank, which needy children
-        # stay.  A needy child that stays becomes a repair site; one that is
-        # pushed must land below a strictly higher-ranked depth-one survivor,
-        # which root coverage guarantees except at the maximal child rank.
-        # Free children always stay unless pulled later.  Keeping more is
-        # tried first so near-Union trees resolve with few pushes.  A kept
-        # member must end with rank-0 surplus >= 0 (the count filter), so a
-        # class of negative surplus keeps at most gain[rank] // -surplus of
-        # its members, who share that gain; higher counts are never tried.
-        st.tick()
-        cls = needy[i]
-        # The last needy class of a rank with no free members must keep coverage.
-        later_same_rank = i + 1 < len(needy) and needy[i + 1].rank == cls.rank
-        uncovered = kept_per_rank[cls.rank] == 0 and free_per_rank[cls.rank] == 0
-        min_keep = 1 if uncovered and not later_same_rank else 0
-        if cls.rank == rank - 1:
-            min_keep = len(cls.members)  # nothing outranks them, they cannot move
-        top = len(cls.members)
-        if cls.surplus < 0:
-            top = min(top, gain[cls.rank] // -cls.surplus)
-        counts = range(top, min_keep - 1, -1)
-        if i == len(needy) - 1:  # every other class is booked: settle the per-rank test
-            passing = _supplied(cls, counts, per_rank, kept_per_rank, demand)
-            st.tick(len(counts) - len(passing))  # a refuted count only ticks its leaf
-            counts = passing
-        for k in counts:
-            cls.kept = k
-            kept_per_rank[cls.rank] += k
-            for r in cls.missing:
-                demand[r] += k
-            yield
-            kept_per_rank[cls.rank] -= k
-            for r in cls.missing:
-                demand[r] -= k
-
-    for _ in _depth_first(keep, len(needy)):
+    for kept_per_rank in _keep_choices(st, rank, needy, per_rank, free_per_rank, gain):
         st.tick()
         # slack[r]: pulls rank r can still lose while keeping one child at root
         slack = [kept_per_rank[r] + free_per_rank[r] - 1 for r in range(rank)]
@@ -314,15 +283,88 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     return None
 
 
+def _keep_choices(st: _Search, rank: int, needy: list[_Class], per_rank, free_per_rank, gain):
+    """Book, in turn, each keep vector of the needy classes that passes the
+    per-rank test, and yield the members kept per rank.
+
+    A needy child that stays becomes a repair site; one that is pushed must
+    land below a strictly higher-ranked depth-one survivor, which root
+    coverage guarantees except at the maximal child rank.  Free children
+    always stay unless pulled later.  Classes are decided in decreasing
+    rank, one per level of a :func:`_depth_first` walk, and keeping more is
+    tried first so near-Union trees resolve with few pushes.  The walk
+    ticks once per level entered and once per vector.  A keep count that
+    :func:`_supplied` refutes has no passing completion, so it is never
+    walked: it is charged at once what the walk below it would tick.
+    """
+    n = len(needy)
+    # of the classes booked so far: members kept per rank, and how many kept
+    # members miss each rank
+    kept_per_rank, demand = [0] * rank, [0] * rank
+    # cost[i][covered]: ticks from entering level i to leaving it, where
+    # covered says an earlier class of needy[i]'s rank keeps a member; the
+    # inner levels are filled on the first refutation that needs them
+    cost: list[tuple[int, int] | None] = [None] * n + [(1, 1)]
+    later_same_rank = [a.rank == b.rank for a, b in zip(needy, needy[1:])] + [False]
+
+    def counts(i: int, covered: bool) -> range:
+        # The keep counts of needy[i], descending.  The last needy class of a
+        # rank with no free members must keep coverage.  A kept member must
+        # end with rank-0 surplus >= 0 (the count filter), so a class of
+        # negative surplus keeps at most gain[rank] // -surplus of its
+        # members, who share that gain; higher counts are never tried.
+        cls = needy[i]
+        min_keep = 0 if covered or free_per_rank[cls.rank] or later_same_rank[i] else 1
+        if cls.rank == rank - 1:
+            min_keep = len(cls.members)  # nothing outranks them, they cannot move
+        top = len(cls.members)
+        if cls.surplus < 0:
+            top = min(top, gain[cls.rank] // -cls.surplus)
+        return range(top, min_keep - 1, -1)
+
+    def below(i: int, covered: bool, ks: range) -> int:
+        # ticks the walk spends below the counts ks of needy[i]
+        if later_same_rank[i]:
+            zero = 0 in ks
+            return (len(ks) - zero) * cost[i + 1][True] + zero * cost[i + 1][covered]
+        return len(ks) * cost[i + 1][False]
+
+    def keep(i: int, _):
+        st.tick()
+        cls = needy[i]
+        covered = kept_per_rank[cls.rank] > 0
+        ks = counts(i, covered)
+        # the classes before i are booked and later ones count 0, so a count
+        # this refutes is refuted under every booking of the later classes
+        passing = _supplied(cls, ks, per_rank, kept_per_rank, demand)
+        if len(passing) < len(ks):
+            if cost[i + 1] is None:
+                for j in range(n - 1, -1, -1):
+                    cost[j] = tuple(1 + below(j, c, counts(j, c)) for c in (False, True))
+            st.tick(below(i, covered, ks[: len(ks) - len(passing)]))
+        for k in passing:
+            cls.kept = k
+            kept_per_rank[cls.rank] += k
+            for r in cls.missing:
+                demand[r] += k
+            yield
+            kept_per_rank[cls.rank] -= k
+            for r in cls.missing:
+                demand[r] -= k
+
+    yield from (kept_per_rank for _ in _depth_first(keep, n))
+
+
 def _supplied(cls: _Class, counts: range, per_rank, kept_per_rank, demand) -> range:
-    """The descending keep ``counts`` of the last needy class that pass the
-    per-rank test, with every other needy class booked.
+    """The descending keep ``counts`` of a needy class that pass the per-rank
+    test, with the needy classes before it booked and later ones counting 0.
 
     A kept needy child missing rank r can only get it from an unkept child
     of rank r, as pushes never move nodes up, and the root keeps one of
     them: r passes iff ``demand[r] + max(kept_per_rank[r], 1) <= per_rank[r]``.
     Keeping k adds k to ``demand`` at the class's missing ranks and to
-    ``kept_per_rank`` at its own, so no test gets easier as k grows.
+    ``kept_per_rank`` at its own, so no test gets easier as k grows, nor as
+    later classes are booked: a refuted count has no passing completion.
     """
     room = [n - d - max(k, 1) for n, d, k in zip(per_rank, demand, kept_per_rank)]
     own = per_rank[cls.rank] - demand[cls.rank] - kept_per_rank[cls.rank]  # caps k >= 1
@@ -339,7 +381,9 @@ class _Class:
     surplus: int  # rank-0 minus positive-rank nodes in a member's subtree
     child_keys: list[bytes]  # keys of a member's own children
     missing: list[int]  # ranks below the members' rank absent among those
-    need: list[int]  # per rank, the least a member must pull (_Search.floors)
+    # per rank, the least a member must pull (_Search.floors); set by the
+    # first target of the class that pulls
+    need: list[int] | None = None
     free: bool = False  # whether a member's subtree is a Union tree
     kept: int = 0  # of a needy class: its first `kept` members stay at depth one
     pulled: int = 0  # of a free class: its last `pulled` members are pulled below targets
@@ -548,7 +592,9 @@ def _iter_pulls(
     yielded pull stays booked in its classes' ``pulled`` and in ``slack``
     until the consumer asks for the next one.
     """
-    need = st.floors(x_cls.rank, grafted, x_cls.need)
+    if x_cls.need is None:
+        x_cls.need = st.floors(x_cls.rank, st.table[x_cls.members[0]], [1] * x_cls.rank)
+    need = st.floors(x_cls.rank, grafted, x_cls.need) if grafted else x_cls.need
     # (class, available) entries; bookings are undone before the next
     # vector, so the last `available` members of each class are unpulled.
     # Floored, then high-surplus, wide classes first so every pruning rule
@@ -658,10 +704,12 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     and id, so the search effort does not depend on the tree's labeling.
 
     ``budget`` caps the search effort in ticks, spent on subtree
-    decisions, candidate probes and keep vectors; the last class's keep
-    counts that the per-rank test rules out are charged together, one tick
-    each.  Keep counts the surplus cap rules out, and pull vectors below a
-    rank's floor, are never searched and cost nothing.  When the budget
+    decisions, candidate probes and keep vectors.  A keep count that the
+    per-rank test rules out, with the classes before it booked and later
+    ones counting 0, is charged in one step what walking every keep vector
+    below it would cost: a tick per level entered and per vector.  Keep
+    counts the surplus cap rules out, and pull vectors below a rank's
+    floor, are never searched and cost nothing.  When the budget
     runs out the verdict is the inconclusive ``search-exhausted``; without
     one the search always ends with a definite answer.
     """

@@ -388,3 +388,44 @@ def reference_export_trees(forest: ReferenceForest) -> list[tuple]:
         rank = tuple(forest.rank[e] for e in elements)
         out.append((RankedTree(parent, rank), tuple(elements)))
     return out
+
+
+def reference_keep_walk(rank: int, classes: list, per_rank, free_per_rank, gain):
+    """Every keep vector of the needy ``classes``, walked without pruning.
+
+    A class is (rank, size, surplus, missing ranks); classes come in
+    decreasing rank, and each keeps its counts from the most down.  A class
+    of the root's top child rank keeps all its members, the last class of a
+    rank keeps one unless an earlier class of the rank keeps some or the
+    rank has free children, and a class of negative surplus keeps at most
+    ``gain[rank] // -surplus``.  The walk ticks once per level entered and
+    once per vector, then applies the per-rank test to the vector: kept
+    children missing rank r need as many unkept rank-r children, and the
+    root keeps one child of each rank.  Returns the ticks spent up to each
+    passing vector, with the vector, and the ticks spent in all.
+    """
+    passing, ticks = [], 0
+
+    def walk(kept: tuple) -> None:
+        nonlocal ticks
+        ticks += 1
+        if len(kept) == len(classes):
+            for r in range(rank):
+                demand = sum(k for (_, _, _, missing), k in zip(classes, kept) if r in missing)
+                ours = sum(k for (q, *_), k in zip(classes, kept) if q == r)
+                if demand + max(ours, 1) > per_rank[r]:
+                    return
+            passing.append((ticks, kept))
+            return
+        r, size, surplus, _ = classes[len(kept)]
+        covered = any(k for (q, *_), k in zip(classes, kept) if q == r)
+        later = any(q == r for q, *_ in classes[len(kept) + 1 :])
+        low = 0 if covered or free_per_rank[r] or later else 1
+        if r == rank - 1:
+            low = size
+        top = size if surplus >= 0 else min(size, gain[r] // -surplus)
+        for k in range(top, low - 1, -1):
+            walk(kept + (k,))
+
+    walk(())
+    return passing, ticks

@@ -333,6 +333,13 @@ class TestRandomUfTree:
             "756e6b8cf55a305f39724a9f14aa348e907f07ca6597fa1e0c63e48b1e531fcf"
         )
 
+    def test_a_large_draw_is_pinned(self):
+        # taken when each collapse listed every tree's size for rng.choices
+        t = random_uf_tree(4000, 0)
+        assert hashlib.sha256(repr((t.parent, t.rank)).encode()).hexdigest() == (
+            "cce250fa96179c61c914bf2e78712914b5a8294c99f656af4468bece1412858b"
+        )
+
     def test_builds_one_tree(self, monkeypatch):
         # the forest does the steps; a tree per step made the generator
         # quadratic in n

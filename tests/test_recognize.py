@@ -18,6 +18,7 @@ from support import (
     merge_constructible,
     random_valid_tree,
     ranked_trees,
+    reference_keep_walk,
     relabel,
     star,
     union_trees_upto,
@@ -44,6 +45,7 @@ from uftree.recognize import (
     Certificate,
     _BudgetExhausted,
     _Class,
+    _keep_choices,
     _minimal_candidates,
     _Search,
     _splits,
@@ -374,6 +376,29 @@ class TestRecognizer:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
         assert prefixes[0] == 7912
+
+    def test_keep_walk_cost_is_pinned(self, tmp_path, monkeypatch):
+        # keep levels entered over the 37 seed-0 engine-positives trees at
+        # budget 20,000; walking below keep counts the per-rank test refutes
+        # entered 22,062
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        entered = [0]
+        depth_first = recognize._depth_first
+
+        def counted(stage, depth, state=None):
+            def counting(i, state):
+                entered[0] += 1
+                return stage(i, state)
+
+            return depth_first(counting if stage.__name__ == "keep" else stage, depth, state)
+
+        monkeypatch.setattr(recognize, "_depth_first", counted)
+        instances = workloads.engine_setup(0, tmp_path).instances
+        for inst in instances:
+            is_union_find_tree(inst.tree, budget=20_000)
+        assert len(instances) == 37
+        assert entered[0] == 470
 
     def test_search_rejection_names_the_search(self):
         # the root passes every filter; a filter that fired in some abandoned
@@ -781,6 +806,42 @@ class TestSupplied:
         state = [9, 9, 1], [0, 0, 1], [0, 0, 1]
         assert list(_supplied(cls, counts, *state)) == []
         assert not any(passes_leaf_test(k, cls, *state) for k in counts)
+
+
+@st.composite
+def keep_layouts(draw):
+    """A root rank, its needy classes as (rank, size, surplus, missing ranks)
+    in decreasing rank, and the per-rank counts the keep choice reads."""
+    rank = draw(st.integers(1, 5))
+    ranks = sorted(draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=6)), reverse=True)
+    classes = []
+    for r in ranks:
+        missing = [q for q in range(r) if draw(st.booleans())]
+        classes.append((r, draw(st.integers(1, 3)), draw(st.integers(-2, 2)), missing))
+    free_per_rank = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    per_rank = [f + sum(c[1] for c in classes if c[0] == r) for r, f in enumerate(free_per_rank)]
+    # the root filters leave no rank without a child
+    free_per_rank = [f + (n == 0) for f, n in zip(free_per_rank, per_rank)]
+    per_rank = [max(n, 1) for n in per_rank]
+    gain = draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank))
+    return rank, classes, per_rank, free_per_rank, gain
+
+
+class TestKeepChoices:
+    @given(keep_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_refuted_counts_are_charged_what_the_full_walk_spends_below_them(self, layout):
+        # so every passing vector is reached at the same tick as by a walk of
+        # every vector, and the walk ends at the same tick
+        rank, classes, per_rank, free_per_rank, gain = layout
+        needy = [_Class(r, list(range(n)), s, [], missing) for r, n, s, missing in classes]
+        search = small_search(10**9)
+        reached = []
+        for _ in _keep_choices(search, rank, needy, per_rank, free_per_rank, gain):
+            search.tick()  # the leaf's own tick, as in _search
+            reached.append((10**9 - search.budget, tuple(cls.kept for cls in needy)))
+        expected = reference_keep_walk(rank, classes, per_rank, free_per_rank, gain)
+        assert (reached, 10**9 - search.budget) == expected
 
 
 class TestOracle:
