@@ -123,8 +123,9 @@ class _Search:
     __slots__ = ("memo", "budget", "rank", "table", "keys", "surplus", "size", "union")
 
     def __init__(self, t: RankedTree, budget: int | None):
-        # canonical key -> push steps in canonical-tree ids, or None if not UF
-        self.memo: dict[bytes, tuple[tuple[int, int], ...] | None] = {}
+        # canonical key -> (x, grafted, steps): the subproblem that found its
+        # push steps, which name its own input-tree nodes; None if not UF
+        self.memo: dict[bytes, tuple[NodeId, list[NodeId], tuple[tuple[int, int], ...]] | None] = {}
         self.budget = budget
         self.rank = t.rank
         self.table = t.child_table()
@@ -493,10 +494,12 @@ def _assign_targets(
     steps = [(y, x) for x, _, grafted in plan for y in grafted]
     steps.sort(key=lambda step: (-st.rank[step[0]], step[0]))
     for x, cls, grafted in plan:
-        inner = st.memo[st.key(cls, grafted)]
-        if inner:
-            ids = _canonical_ids(st, x, grafted)
-            steps.extend((ids[a], ids[b]) for a, b in inner)
+        origin, found, inner = st.memo[st.key(cls, grafted)]
+        if inner and (origin, found) != (x, grafted):
+            # an isomorphic twin: input ids -> canonical ids -> the twin's ids
+            move = dict(zip(_canonical_ids(st, origin, found), _canonical_ids(st, x, grafted)))
+            inner = [(move[a], move[b]) for a, b in inner]
+        steps.extend(inner)
     return tuple(steps)
 
 
@@ -537,8 +540,9 @@ def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId
     """Input-tree ids of x's enriched subtree, listed by canonical id.
 
     The enriched subtree is x with the grafted subtrees below it.  It is
-    materialized and canonicalized only to translate the push steps of a
-    successful decision between the input tree and the memo.
+    materialized and canonicalized only when a plan entry reuses memoized
+    push steps found at an isomorphic twin: the origin's list and the
+    entry's, zipped, translate the origin's steps to the entry's nodes.
     """
     nodes, parent = [x], [NO_PARENT]
     for i, y in enumerate(nodes):  # breadth-first: the list grows while it is walked
@@ -553,18 +557,16 @@ def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
     """Whether x, a member of cls, with the grafted subtrees below it is UF.
 
     Memoized by canonical key, which the index gives without building the
-    subtree.  On a miss the search runs on the input tree's own nodes; a
-    successful decision with steps is canonicalized once, to store its
-    steps in canonical-tree ids.
+    subtree.  On a miss the search runs on the input tree's own nodes, and
+    a success is stored as found: x, the grafts and steps in input-tree
+    ids.  Nothing is canonicalized here; :func:`_assign_targets` translates
+    the steps only for a plan entry on another node set with the same key.
     """
     st.tick()
     key = st.key(cls, grafted)
     if key not in st.memo:
         steps = _search(st, cls.rank, st.table[x] + grafted)
-        if steps:
-            to_canon = {y: i for i, y in enumerate(_canonical_ids(st, x, grafted))}
-            steps = tuple((to_canon[a], to_canon[b]) for a, b in steps)
-        st.memo[key] = steps
+        st.memo[key] = None if steps is None else (x, grafted, steps)
     return st.memo[key] is not None
 
 

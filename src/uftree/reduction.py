@@ -19,6 +19,7 @@ from .recognize import Certificate, Verdict, is_union_find_tree
 from .tree import NO_PARENT, NodeId, RankedTree
 
 SOLVER_WEIGHT_CAP = 20
+SOLVER_STATE_CAP = 1_000_000  # failed states remembered: ~210 MB, a few seconds
 VERIFY_NODE_CAP = 500
 
 
@@ -163,7 +164,8 @@ def solve_partition(inst: PartitionInstance) -> PartitionSolution | None:
 
     Weights are placed largest first; parts with equal residual capacity are
     interchangeable, so only one is tried, and failed states are memoized by
-    (next weight, sorted residual capacities).
+    (next weight, sorted residual capacities).  Raises CapExceeded once
+    ``SOLVER_STATE_CAP`` states have failed.
     """
     m = len(inst.weights)
     if m > SOLVER_WEIGHT_CAP:
@@ -190,6 +192,8 @@ def solve_partition(inst: PartitionInstance) -> PartitionSolution | None:
                     return True
                 residual[part] += w
         failed.add(state)
+        if len(failed) >= SOLVER_STATE_CAP:
+            raise CapExceeded(f"solver is capped at {SOLVER_STATE_CAP} failed states")
         return False
 
     if not place(0):

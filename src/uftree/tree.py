@@ -328,10 +328,11 @@ def subtree_keys(t: RankedTree, table: list[list[NodeId]]) -> list[bytes]:
     ``subtree_keys(t, t.child_table())[x] == canonical_key(subtree(t, x)[0])``:
     the bottom-up encoding of a node depends only on the subtree below it.
     Equal bytes iff the subtrees are isomorphic as unordered rank-labeled
-    rooted trees.  t must be valid, so that ascending rank is bottom-up.
+    rooted trees.  t must be valid, so that ascending rank is bottom-up and
+    every rank-0 node is a leaf; only positive-rank nodes are encoded.
     """
-    enc: list[bytes] = [b""] * t.node_count
-    for x in sorted(range(t.node_count), key=t.rank.__getitem__):
+    enc = [b"0()"] * t.node_count  # node_key(0, [])
+    for x in sorted(filter(t.rank.__getitem__, range(t.node_count)), key=t.rank.__getitem__):
         enc[x] = node_key(t.rank[x], [enc[c] for c in table[x]])
     return enc
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+from uftree import recognize
 from uftree.errors import CapExceeded, FormatError
 from uftree.tree import (
     NO_PARENT,
@@ -25,6 +28,14 @@ T_TREE = RankedTree((-1, 0, 0), (2, 0, 0))
 X_NODE = 2
 Z_NODE = 7
 Y_NODE_MERGED = 9  # id of t's root after merge(S_TREE, T_TREE)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# unsolvable (the recognizer refutes its gadget), but the Partition solver
+# fails over a million states on it without finishing
+SOLVER_HARD_INSTANCE = (
+    "259,256,180,161,161,246,300,234,291,221,279,210,159,229,151,169,177,287,158,204;6"
+)
 
 
 def chain(*ranks: int) -> RankedTree:
@@ -429,3 +440,42 @@ def reference_keep_walk(rank: int, classes: list, per_rank, free_per_rank, gain)
 
     walk(())
     return passing, ticks
+
+
+def benchmark_corpus(workdir, monkeypatch, gadgets: bool = True) -> list:
+    """The seed-0 instances of the engine-positives benchmark corpus, then,
+    with ``gadgets``, those of gadget-yes and gadget-no, in corpus order."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    instances = workloads.engine_setup(0, workdir).instances
+    if gadgets:
+        instances += workloads.gadget_setup(0, workdir, True).instances
+        instances += workloads.gadget_setup(0, workdir, False).instances
+    return instances
+
+
+def count_stage_entries(monkeypatch, name: str) -> list[int]:
+    """A one-element counter of the levels that ``recognize._depth_first``
+    walks enter in stages named ``name``, counting from now."""
+    entered = [0]
+    depth_first = recognize._depth_first
+
+    def counted(stage, depth, state=None):
+        def counting(i, state):
+            entered[0] += 1
+            return stage(i, state)
+
+        return depth_first(counting if stage.__name__ == name else stage, depth, state)
+
+    monkeypatch.setattr(recognize, "_depth_first", counted)
+    return entered
+
+
+def record_canonical_forms(monkeypatch) -> list[int]:
+    """The node count of every tree recognition canonicalizes from now on."""
+    nodes = []
+    original = recognize.canonical_form
+    monkeypatch.setattr(
+        recognize, "canonical_form", lambda t: nodes.append(t.node_count) or original(t)
+    )
+    return nodes

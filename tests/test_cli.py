@@ -2,7 +2,7 @@
 
 import pytest
 
-from support import many_needy_classes, many_repairs, wide_tree
+from support import SOLVER_HARD_INSTANCE, many_needy_classes, many_repairs, wide_tree
 from uftree import cli, recognize, reduction, tree
 from uftree.cli import main
 from uftree.forest import random_uf_tree
@@ -161,6 +161,13 @@ class TestReductionCommands:
 
     def test_solve_bad_format(self):
         assert main(["solve", "1,2,3"]) == 2
+
+    def test_solve_past_the_state_cap_is_a_resource_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(reduction, "SOLVER_STATE_CAP", 20_000)
+        assert main(["solve", SOLVER_HARD_INSTANCE]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "uftree: solver is capped at 20000 failed states\n"
 
     def test_reduce_writes_flat_tree(self, tmp_path, capsys):
         out_file = tmp_path / "flat.tree"

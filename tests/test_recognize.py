@@ -1,23 +1,24 @@
 """Recognition procedures, filters, certificates, and the push oracle."""
 
 import hashlib
-import importlib
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
+    benchmark_corpus,
     chain,
+    count_stage_entries,
     many_free_classes,
     many_needy_classes,
     many_repairs,
     merge_constructible,
     random_valid_tree,
     ranked_trees,
+    record_canonical_forms,
     reference_keep_walk,
     relabel,
     star,
@@ -71,8 +72,6 @@ from uftree.tree import (
     subtree,
     subtree_keys,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # the trees of the prop4, rank-range and missing-rank filter tests below
 ROOT_FILTER_FIXTURES = [
@@ -328,13 +327,7 @@ class TestRecognizer:
         # verdict, ticks and certificate of the 71 seed-0 instances of the
         # engine-positives, gadget-yes and gadget-no benchmark corpora at
         # budget 20,000, in corpus order; an exhausted run counts as 20,001
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        workloads = importlib.import_module("workloads")
-        instances = (
-            workloads.engine_setup(0, tmp_path).instances
-            + workloads.gadget_setup(0, tmp_path, True).instances
-            + workloads.gadget_setup(0, tmp_path, False).instances
-        )
+        instances = benchmark_corpus(tmp_path, monkeypatch)
         used = [0]
         tick = _Search.tick
 
@@ -358,20 +351,8 @@ class TestRecognizer:
     def test_pull_walk_cost_is_pinned(self, tmp_path, monkeypatch):
         # prefixes the candidate and split walks visit over the 37 seed-0
         # engine-positives trees at budget 20,000: work that ticks miss
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        workloads = importlib.import_module("workloads")
-        prefixes = [0]
-        depth_first = recognize._depth_first
-
-        def counted(stage, depth, state=None):
-            def counting(i, state):
-                prefixes[0] += 1
-                return stage(i, state)
-
-            return depth_first(counting if stage.__name__ == "choose" else stage, depth, state)
-
-        monkeypatch.setattr(recognize, "_depth_first", counted)
-        instances = workloads.engine_setup(0, tmp_path).instances
+        instances = benchmark_corpus(tmp_path, monkeypatch, gadgets=False)
+        prefixes = count_stage_entries(monkeypatch, "choose")
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
@@ -381,20 +362,8 @@ class TestRecognizer:
         # keep levels entered over the 37 seed-0 engine-positives trees at
         # budget 20,000; walking below keep counts the per-rank test refutes
         # entered 22,062
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        workloads = importlib.import_module("workloads")
-        entered = [0]
-        depth_first = recognize._depth_first
-
-        def counted(stage, depth, state=None):
-            def counting(i, state):
-                entered[0] += 1
-                return stage(i, state)
-
-            return depth_first(counting if stage.__name__ == "keep" else stage, depth, state)
-
-        monkeypatch.setattr(recognize, "_depth_first", counted)
-        instances = workloads.engine_setup(0, tmp_path).instances
+        instances = benchmark_corpus(tmp_path, monkeypatch, gadgets=False)
+        entered = count_stage_entries(monkeypatch, "keep")
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
@@ -512,20 +481,48 @@ class TestRecognizer:
         assert node_key(t.rank[basket], child_keys) == canonical_key(enriched)
 
     def test_memo_hits_skip_canonicalization(self, monkeypatch):
-        # canonicalizing every candidate before the memo lookup would take 321
-        calls = []
-        original = recognize.canonical_form
-        monkeypatch.setattr(recognize, "canonical_form", lambda t: calls.append(t) or original(t))
+        # canonicalizing every candidate before the memo lookup would take
+        # 321; canonicalizing every success with steps took 16
+        calls = record_canonical_forms(monkeypatch)
         assert is_union_find_tree(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree).accepted
-        assert len(calls) <= 120
+        assert len(calls) <= 6
+
+    def test_benchmark_corpora_canonicalize_as_pinned(self, tmp_path, monkeypatch):
+        # canonical_form calls and nodes over the 71 seed-0 benchmark
+        # instances at budget 20,000: only a plan entry that reuses the steps
+        # of an isomorphic twin is canonicalized, once per side.  Storing
+        # every success in canonical ids took 759 calls over 13,432 nodes.
+        instances = benchmark_corpus(tmp_path, monkeypatch)
+        nodes = record_canonical_forms(monkeypatch)
+        for inst in instances:
+            is_union_find_tree(inst.tree, budget=20_000)
+        assert (len(nodes), sum(nodes)) == (218, 2782)
+
+    def test_a_twin_reuses_the_steps_found_at_its_isomorphic_sibling(self, monkeypatch):
+        # root 0 (rank 4) over Union children of ranks 0-2 and the
+        # isomorphic rank-3 nodes 8 and 16, listed in other orders.  Each
+        # is a Union tree once a rank-1 child is pushed below its rank-2
+        # child, which misses rank 1.  The steps found at 8 are memoized
+        # and reused at 16, through both nodes' canonical ids.
+        t = RankedTree(
+            (-1, 0, 0, 2, 0, 4, 4, 6, 0, 8, 8, 10, 8, 12, 8, 14, 0, 16, 17, 16, 19, 16, 16, 22),
+            (4, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 1, 0, 2, 0, 3, 2, 0, 1, 0, 0, 1, 0),
+        )
+        translated = []
+        canonical_ids = recognize._canonical_ids
+        monkeypatch.setattr(
+            recognize,
+            "_canonical_ids",
+            lambda st, x, grafted: translated.append(x) or canonical_ids(st, x, grafted),
+        )
+        verdict = is_union_find_tree(t)
+        assert verdict.certificate.steps == ((12, 14), (22, 17))
+        assert check_certificate(t, verdict.certificate)
+        assert translated == [8, 16]  # the origin, then its twin
 
     def test_pulls_are_decided_without_materializing_the_full_pull(self, monkeypatch):
         # probing the all-available pull first canonicalized 11,870 nodes here
-        nodes = []
-        original = recognize.canonical_form
-        monkeypatch.setattr(
-            recognize, "canonical_form", lambda t: nodes.append(t.node_count) or original(t)
-        )
+        nodes = record_canonical_forms(monkeypatch)
         t = largest_export(500, 1)
         assert t.node_count == 493
         assert is_union_find_tree(t).accepted

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import SOLVER_HARD_INSTANCE
 from uftree import reduction
 from uftree.errors import CapExceeded, FormatError
 from uftree.recognize import brute_force_is_uf, check_certificate, count_filter, is_union_find_tree
@@ -184,6 +185,21 @@ class TestSolver:
     def test_weight_cap(self):
         with pytest.raises(CapExceeded):
             solve_partition(PartitionInstance((1,) * 22, 2))
+
+    def test_state_cap(self):
+        # unbounded, the failed set grows past 3 GB on this instance without an answer
+        with pytest.raises(CapExceeded, match="1000000 failed states"):
+            solve_partition(parse_instance(SOLVER_HARD_INSTANCE))
+
+    @pytest.mark.parametrize("cap, capped", [(1, True), (2, False)])
+    def test_state_cap_counts_failed_states(self, monkeypatch, cap, capped):
+        # the 4 fits no part of 3: one failed state refutes the instance
+        monkeypatch.setattr(reduction, "SOLVER_STATE_CAP", cap)
+        if capped:
+            with pytest.raises(CapExceeded):
+                solve_partition(parse_instance("1,1,4;2"))
+        else:
+            assert solve_partition(parse_instance("1,1,4;2")) is None
 
     @given(
         st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
