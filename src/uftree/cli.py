@@ -98,6 +98,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    cap = _node_cap(args.max_nodes)  # the cap `check` parses under
+    if args.nodes > cap:
+        raise CapExceeded(f"tree has {args.nodes} nodes, cap is {cap}")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.kind == "union":
         tree = forest.random_uf_tree(args.nodes, seed, collapse_prob=0.0)
@@ -135,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-nodes",
         type=int,
         default=None,
-        help="node cap for parsing and reduce output (default 100000) and the oracle (default 10)",
+        help="node cap for parsing, reduce and gen (default 100000) and the oracle (default 10)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -101,8 +101,7 @@ def count_filter(t: RankedTree) -> bool:
 
     A False result certifies that the tree is not a Union-Find tree.
     """
-    zeros = sum(1 for r in t.rank if r == 0)
-    return zeros >= t.node_count - zeros
+    return 2 * t.rank.count(0) >= t.node_count
 
 
 class _BudgetExhausted(Exception):
@@ -148,13 +147,6 @@ class _Search:
                 union[p] = False
         self.surplus, self.size, self.union = surplus, size, union
 
-    def facts(self, rank: int, kids: list[NodeId]) -> tuple[set[int], int, int, bool]:
-        """Child ranks, rank-0 surplus, size and Union flag of a rank over kids."""
-        ranks = {self.rank[c] for c in kids}
-        surplus = (1 if rank == 0 else -1) + sum(self.surplus[c] for c in kids)
-        size = 1 + sum(self.size[c] for c in kids)
-        return ranks, surplus, size, len(ranks) == rank and all(self.union[c] for c in kids)
-
     def floors(self, rank: int, kids: list[NodeId], need: list[int]) -> list[int]:
         """``need`` less the kids of each rank, plus the needy kids of rank - 1
         that miss it.  Nothing outranks such a kid, so it stays, and each rank
@@ -176,25 +168,6 @@ class _Search:
             self.budget -= count
             if self.budget < 0:
                 raise _BudgetExhausted
-
-
-def _refute(rank: int, surplus: int, size: int, child_ranks: set[int]) -> str | None:
-    """The first structural filter that proves a tree is not Union-Find, or None.
-
-    Takes the tree's root rank, rank-0 surplus (rank-0 minus positive-rank
-    nodes), size and root child ranks, and is meant for a valid tree that
-    is not a Union tree.  Every Union-Find tree has a rank-0 surplus of at
-    least 0 (:func:`count_filter`), has at least ``2^rank`` nodes below a
-    root of that rank, and keeps every rank below the root's among the
-    root's children, because pushes only move nodes down.
-    """
-    if surplus < 0:
-        return REASON_COUNT_FILTER
-    if size < (1 << rank):
-        return REASON_RANK_RANGE
-    if any(r not in child_ranks for r in range(rank)):
-        return REASON_MISSING_RANK
-    return None
 
 
 def _depth_first(stage, depth: int, state=None):
@@ -222,14 +195,9 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
 
     The subproblem is a root of the given rank whose children are the
     input-tree nodes ``kids``, each with its subtree from the input tree.
-    Returns None if no push sequence exists.
+    Returns None if no push sequence exists.  The caller has ruled out a
+    Union tree and every structural filter.
     """
-    ranks, surplus, size, union = st.facts(rank, kids)
-    if union:
-        return ()
-    if _refute(rank, surplus, size, ranks) is not None:
-        return None
-
     # Split the depth-one children into isomorphism classes and sort the
     # classes into needy (their standalone subtree is not a Union tree, so
     # they must be repaired in place or pushed into a repair site) and free
@@ -403,9 +371,10 @@ def _assign_targets(
     still-unplaced needy children whose surplus fits the pool is tried;
     free pulls are then probed in ascending size, and each candidate
     subtree is decided immediately (memoized), so a hopeless target prunes
-    the whole branch.  A target that is the last one able to absorb a
-    needy class must take that class's remainder.  Each target served is
-    one level of a :func:`_depth_first` walk, so placement depth takes no
+    the whole branch.  The last target able to absorb a needy class must
+    take its remainder, unless it was pulled below an earlier target, so
+    a walk can end with children left over.  Each target served is one
+    level of a :func:`_depth_first` walk, so placement depth takes no
     Python frames.
     """
     pushed = [(cls, cls.members[cls.kept :]) for cls in needy if cls.kept < len(cls.members)]
@@ -486,7 +455,7 @@ def _assign_targets(
                 remaining[j] += take
 
     for _ in _depth_first(serve, len(targets)):
-        if not any(remaining):
+        if not any(remaining):  # else the last absorbing target was pulled
             break
     else:
         return None
@@ -565,7 +534,17 @@ def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
     st.tick()
     key = st.key(cls, grafted)
     if key not in st.memo:
-        steps = _search(st, cls.rank, st.table[x] + grafted)
+        kids = st.table[x] + grafted
+        # The pull walk reaches the rank-0 deficit and every rank's floor
+        # (:func:`_iter_pulls`), so the candidate passes the count filter and
+        # has every lower rank among its children: it is a Union tree iff
+        # every child's subtree is, and of the filters only its size can fail.
+        if all(st.union[c] for c in kids):
+            steps = ()
+        elif 1 + sum(st.size[c] for c in kids) < 1 << cls.rank:
+            steps = None
+        else:
+            steps = _search(st, cls.rank, kids)
         st.memo[key] = None if steps is None else (x, grafted, steps)
     return st.memo[key] is not None
 
@@ -589,8 +568,9 @@ def _iter_pulls(
     the root instead.  A success recorded during one total is above no
     other vector of that total, so the enumeration reads the successes
     once per total.  Vectors short of the rank-0 deficit or below a rank's
-    floor (:meth:`_Search.floors`) are never generated, and those that would
-    hollow out the root's rank coverage are skipped without a search.  A
+    floor (:meth:`_Search.floors`) are never generated.  A vector that would
+    hollow out the root's rank coverage is still decided, and recorded as a
+    minimum if it succeeds; only then does the slack check skip it.  A
     yielded pull stays booked in its classes' ``pulled`` and in ``slack``
     until the consumer asks for the next one.
     """
@@ -701,9 +681,9 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     recursively decide each enriched subtree.  A Union tree, or a tree a
     root filter refutes, is answered from the tree alone.  Otherwise one
     index of the tree serves the whole search: every candidate subtree is
-    a rank over input-tree nodes, pre-filtered by the same filters and
-    memoized by canonical key.  Targets are tried in order of rank, key
-    and id, so the search effort does not depend on the tree's labeling.
+    a rank over input-tree nodes, memoized by canonical key and searched
+    unless its Union flag or size decides it.  Targets are tried by rank,
+    key and id, so the search effort does not depend on the labeling.
 
     ``budget`` caps the search effort in ticks, spent on subtree
     decisions, candidate probes and keep vectors.  A keep count that the
@@ -718,11 +698,16 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     validate(t).raise_if_invalid()
     if is_union_tree(t):
         return Verdict(True, REASON_UNION_TREE)
+    # Every Union-Find tree passes the count filter, has at least 2^rank
+    # nodes below a root of that rank, and keeps every lower rank among the
+    # root's children, because pushes only move nodes down.
     root = t.root
-    root_ranks = {t.rank[c] for c in t.children_of(root)}
-    reason = _refute(t.rank[root], 2 * t.rank.count(0) - t.node_count, t.node_count, root_ranks)
-    if reason is not None:
-        return Verdict(False, reason)
+    if not count_filter(t):
+        return Verdict(False, REASON_COUNT_FILTER)
+    if t.node_count < 1 << t.rank[root]:
+        return Verdict(False, REASON_RANK_RANGE)
+    if not satisfies_union_condition(t, root):
+        return Verdict(False, REASON_MISSING_RANK)
 
     st = _Search(t, budget)
     try:
@@ -795,7 +780,9 @@ def parse_certificate(text: str) -> Certificate:
         count = int(lines[0])
     except ValueError:
         raise FormatError(f"header must be a step count, got {lines[0]!r}", 1) from None
-    if count < 0 or len(lines) < count + 1:
+    if count < 0:
+        raise FormatError(f"step count must be at least 0, got {count}", 1)
+    if len(lines) < count + 1:
         raise FormatError(f"expected {count} push lines", len(lines) + 1)
     for i in range(count + 1, len(lines)):
         if lines[i].strip():

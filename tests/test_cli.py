@@ -3,7 +3,7 @@
 import pytest
 
 from support import SOLVER_HARD_INSTANCE, many_needy_classes, many_repairs, wide_tree
-from uftree import cli, recognize, reduction, tree
+from uftree import cli, forest, recognize, reduction, tree
 from uftree.cli import main
 from uftree.forest import random_uf_tree
 from uftree.recognize import check_certificate, parse_certificate
@@ -247,6 +247,24 @@ class TestGen:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("uftree:") and "UFTREE_SEED" in lines[0]
+
+    @pytest.mark.parametrize("cap, code", [(50, 0), (49, 3)])
+    def test_gen_takes_the_node_cap_of_check(self, tmp_path, cap, code):
+        out_file = tmp_path / "gen.tree"
+        capped = ["--max-nodes", str(cap)]
+        assert main(capped + ["gen", "uf", "-n", "50", "-o", str(out_file)]) == code
+        assert out_file.exists() == (code == 0)
+        if code == 0:
+            assert main(capped + ["check", str(out_file)]) == 0
+
+    def test_gen_above_the_parse_cap_is_a_resource_limit(self, capsys, monkeypatch):
+        # `check` would refuse the file; nothing is drawn
+        def undrawn(*args, **kwargs):
+            raise AssertionError("random_uf_tree was called")
+
+        monkeypatch.setattr(forest, "random_uf_tree", undrawn)
+        assert main(["gen", "uf", "-n", "200000"]) == 3
+        assert capsys.readouterr().err == "uftree: tree has 200000 nodes, cap is 100000\n"
 
     def test_gen_mutant(self, tmp_path, capsys):
         assert main(["gen", "mutant", "-n", "14", "--seed", "2"]) == 0

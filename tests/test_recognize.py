@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from support import (
     benchmark_corpus,
+    binomial,
     chain,
     count_stage_entries,
+    from_spec,
     many_free_classes,
     many_needy_classes,
     many_repairs,
@@ -79,6 +81,36 @@ ROOT_FILTER_FIXTURES = [
     RankedTree((-1, 0, 0, 2, 0, 4), (3, 0, 1, 0, 2, 0)),
     RankedTree((-1, 0, 0, 1, 1, 2, 2), (2, 1, 1, 0, 0, 0, 0)),
 ]
+
+# A rank-5 root over x, B3, B2, B1 and five leaves, 32 nodes.  x has rank
+# 4 and children y (rank 3, over a childless rank 2, a childless rank 1 and
+# a leaf), a childless rank 2, a childless rank 1 and five leaves, so the
+# search decides candidates a filter of size alone refutes.
+SIZE_REFUTED = from_spec(
+    (
+        5,
+        [(4, [(3, [(2, []), (1, []), binomial(0)]), (2, []), (1, [])] + [binomial(0)] * 5)]
+        + [binomial(3), binomial(2), binomial(1)]
+        + [binomial(0)] * 5,
+    )
+)
+
+# Resuming past an untouched free target: refuted, and the oracle agrees.
+RESUMED_PAST_FREE = RankedTree(
+    (-1, 0, 0, 2, 0, 0, 4, 6, 6, 0, 0, 9, 9, 0, 13, 13, 9, 15),
+    (3, 0, 1, 0, 2, 0, 1, 0, 0, 1, 1, 0, 0, 2, 0, 1, 0, 0),
+)
+
+# Root 0 (rank 4) over the rank-3 node 1 (over a leaf and a B1), the B2s 5
+# and 9, the childless rank-1 node 13, the B1 14, the rank-1 node 16 over
+# two leaves, and leaf 19.  13 must be pushed below 1, 5 or 9, and 9 is the
+# last that can absorb it.  Node 1 pulls 9 and 5 may stay untouched, so 9
+# is served as pulled and takes nothing: that walk leaves 13 over and is no
+# witness.  Refuted; the oracle agrees.
+LEFT_OVER = RankedTree(
+    (-1, 0, 1, 1, 3, 0, 5, 5, 7, 0, 9, 9, 11, 0, 0, 14, 0, 16, 16, 0),
+    (4, 3, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0),
+)
 
 
 def largest_export(n, seed):
@@ -306,12 +338,20 @@ class TestRecognizer:
             (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 84),
             (lambda: relabel(random_uf_tree(200, 4)), 75),
             (lambda: relabel(random_uf_tree(200, 4), 3), 75),
+            # refuted: candidates too small for their rank are never searched
+            (lambda: SIZE_REFUTED, 846),
+            # a free target pulled below an earlier target receives nothing
+            (lambda: random_uf_tree(200, 15), 297),
+            # the walk resumes past a free target left untouched
+            (lambda: RESUMED_PAST_FREE, 25),
+            # a walk through every target that leaves a pushed child over
+            (lambda: LEFT_OVER, 60),
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
             "uf100-s1", "uf200-s4", "uf400-s1", "uf400-s2", "uf400-s7", "flat-44519971",
             "wide-k900", "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
-            "uf200-s4-shuffled",
+            "uf200-s4-shuffled", "size-refuted", "uf200-s15", "resumed-past-free", "left-over",
         ],
     )
     def test_search_effort_is_pinned(self, build, ticks):
@@ -375,6 +415,19 @@ class TestRecognizer:
         verdict = is_union_find_tree(make_flat_tree(parse_instance("1,1,4;2")).tree)
         assert not verdict.accepted
         assert verdict.reason == REASON_SEARCH
+
+    def test_search_paths_the_corpora_miss_give_their_verdicts(self):
+        # the new cases of test_search_effort_is_pinned: a candidate the
+        # size filter refutes, a free target pulled below an earlier one, a
+        # walk resumed past an untouched free target, and a walk that ends
+        # with a pushed child left over
+        assert is_union_find_tree(SIZE_REFUTED).reason == REASON_SEARCH
+        assert is_union_find_tree(LEFT_OVER).reason == REASON_SEARCH
+        verdict = is_union_find_tree(random_uf_tree(200, 15))
+        assert verdict.reason == REASON_CERTIFICATE
+        assert len(verdict.certificate) == 23
+        assert is_union_find_tree(RESUMED_PAST_FREE).reason == REASON_SEARCH
+        assert not brute_force_is_uf(RESUMED_PAST_FREE, max_nodes=18)
 
     def test_pulls_of_positive_rank_free_children_count_toward_the_surplus_pool(self):
         # root 0 (rank 3) over leaf 1, the childless rank-1 node 2, rank-2
@@ -924,6 +977,12 @@ class TestCertificates:
             parse_certificate("1\nshove 1 2\n")
         with pytest.raises(FormatError):
             parse_certificate("2\npush 1 2\n")
+        with pytest.raises(FormatError, match="header must be a step count"):
+            parse_certificate("x\n")
+        with pytest.raises(FormatError, match="non-integer node id"):
+            parse_certificate("1\npush a 2\n")
+        with pytest.raises(FormatError, match="step count must be at least 0, got -1"):
+            parse_certificate("-1\n")
 
     def test_trailing_lines_rejected(self):
         from uftree.errors import FormatError
