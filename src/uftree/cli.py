@@ -10,6 +10,7 @@ that is not an integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -128,6 +129,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return EXIT_ACCEPTED
 
 
+@functools.cache  # one parser per process, shared by every main call: do not modify it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uftree",

@@ -567,12 +567,13 @@ def _iter_pulls(
     witness pulling more than a minimal fix could have left the surplus at
     the root instead.  A success recorded during one total is above no
     other vector of that total, so the enumeration reads the successes
-    once per total.  Vectors short of the rank-0 deficit or below a rank's
-    floor (:meth:`_Search.floors`) are never generated.  A vector that would
-    hollow out the root's rank coverage is still decided, and recorded as a
-    minimum if it succeeds; only then does the slack check skip it.  A
-    yielded pull stays booked in its classes' ``pulled`` and in ``slack``
-    until the consumer asks for the next one.
+    once per total.  Vectors short of the rank-0 deficit, below a rank's
+    floor (:meth:`_Search.floors`) or above its ``slack`` in one class are
+    never generated; only one whose classes of a rank overdraw its slack
+    together is decided, and recorded as a minimum if it succeeds, before
+    the slack check skips it.  A yielded pull stays booked in its classes'
+    ``pulled`` and in ``slack`` until the consumer asks for the next one;
+    bookings made meanwhile are undone by then.
     """
     if x_cls.need is None:
         x_cls.need = st.floors(x_cls.rank, st.table[x_cls.members[0]], [1] * x_cls.rank)
@@ -591,7 +592,7 @@ def _iter_pulls(
     )
 
     minima: list[tuple[int, ...]] = []
-    limits = [avail for _, avail in pool]
+    limits = [min(avail, slack[cls.rank]) for cls, avail in pool]
     balances = [cls.surplus for cls, _ in pool]
     ranks = [cls.rank for cls, _ in pool]
     for vec in _minimal_candidates(limits, minima, balances, -surplus, ranks, need):
@@ -691,9 +692,9 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     ones counting 0, is charged in one step what walking every keep vector
     below it would cost: a tick per level entered and per vector.  Keep
     counts the surplus cap rules out, and pull vectors below a rank's
-    floor, are never searched and cost nothing.  When the budget
-    runs out the verdict is the inconclusive ``search-exhausted``; without
-    one the search always ends with a definite answer.
+    floor or above its slack, are never searched and cost nothing.  When
+    the budget runs out the verdict is the inconclusive ``search-exhausted``;
+    without one the search always ends with a definite answer.
     """
     validate(t).raise_if_invalid()
     if is_union_tree(t):

@@ -1,5 +1,11 @@
 """Command surface: exit codes, output channels, determinism."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from support import SOLVER_HARD_INSTANCE, many_needy_classes, many_repairs, wide_tree
@@ -307,3 +313,81 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "uftree":  # subcommand parsers are named "uftree <command>"
+                built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        path = write_tree(tmp_path, singleton())
+        for _ in range(50):
+            assert main(["check", path]) == 0
+        assert len(built) == 1
+
+    def test_no_option_outlives_its_call(self, tmp_path, monkeypatch, capsys):
+        budgets = []
+        decide = recognize.is_union_find_tree
+
+        def recorded(t, budget=None):
+            budgets.append(budget)
+            return decide(t, budget=budget)
+
+        monkeypatch.setattr(recognize, "is_union_find_tree", recorded)
+        path = write_tree(tmp_path, singleton())
+        assert main(["check", path, "--budget", "5"]) == 0
+        assert main(["check", path]) == 0
+        assert budgets == [5, None]
+        assert main(["check", path, "--mode", "union"]) == 0
+        capsys.readouterr()
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().err == "union-find: union-tree\n"
+
+    @pytest.mark.parametrize("argv", [["check"], ["frobnicate"], ["check", "x", "--budget", "a"]])
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, argv):
+        assert main(argv) == 2
+        assert main(["check", write_tree(tmp_path, singleton())]) == 0
+
+
+class TestOneShotProcess:
+    # the exit-code contract of `python -m uftree.cli`, one process per call
+    def run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "uftree.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_accepted_with_a_certificate_that_replays(self, flat_tree_file):
+        path, flat = flat_tree_file
+        result = self.run("check", path, "--emit-certificate")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "union-find: certificate\n"
+        assert check_certificate(flat.tree, parse_certificate(result.stdout))
+
+    def test_rejected(self, tmp_path):
+        from uftree.reduction import make_apple
+
+        result = self.run("check", write_tree(tmp_path, make_apple(2)))
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == ""
+
+    def test_malformed_file_is_usage(self, tmp_path):
+        path = tmp_path / "bad.tree"
+        path.write_text("not a tree\n")
+        result = self.run("check", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("uftree: ")
+
+    def test_zero_budget_is_a_resource_limit(self, flat_tree_file):
+        path, _ = flat_tree_file
+        result = self.run("check", path, "--budget", "0")
+        assert result.returncode == 3
+        assert result.stderr == "union-find: search-exhausted\n"
