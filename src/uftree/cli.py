@@ -24,7 +24,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 PARSE_NODE_CAP = 100_000
-DEFAULT_COLLAPSE_PROB = 0.25
 
 
 def _default_seed() -> int:
@@ -106,11 +105,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "union":
         tree = forest.random_uf_tree(args.nodes, seed, collapse_prob=0.0)
     elif args.kind == "uf":
-        tree = forest.random_uf_tree(args.nodes, seed, DEFAULT_COLLAPSE_PROB)
+        tree = forest.random_uf_tree(args.nodes, seed)
     else:
-        tree = forest.mutate(
-            forest.random_uf_tree(args.nodes, seed, DEFAULT_COLLAPSE_PROB), seed
-        )
+        tree = forest.mutate(forest.random_uf_tree(args.nodes, seed), seed)
     _write_output(serialize_tree(tree), args.output)
     return EXIT_ACCEPTED
 

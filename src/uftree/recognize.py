@@ -79,7 +79,6 @@ class Verdict:
 
 def satisfies_union_condition(t: RankedTree, x: NodeId) -> bool:
     """True iff the children ranks of x form the set {0, ..., rank(x)-1}."""
-    t.check_node(x)
     ranks = {t.rank[c] for c in t.children_of(x)}
     return ranks == set(range(t.rank[x]))
 
@@ -568,12 +567,10 @@ def _iter_pulls(
     the root instead.  A success recorded during one total is above no
     other vector of that total, so the enumeration reads the successes
     once per total.  Vectors short of the rank-0 deficit, below a rank's
-    floor (:meth:`_Search.floors`) or above its ``slack`` in one class are
-    never generated; only one whose classes of a rank overdraw its slack
-    together is decided, and recorded as a minimum if it succeeds, before
-    the slack check skips it.  A yielded pull stays booked in its classes'
-    ``pulled`` and in ``slack`` until the consumer asks for the next one;
-    bookings made meanwhile are undone by then.
+    floor (:meth:`_Search.floors`) or above its ``slack`` are never
+    generated.  A yielded pull stays booked in its classes' ``pulled`` and
+    in ``slack`` until the consumer asks for the next one; bookings made
+    meanwhile are undone by then.
     """
     if x_cls.need is None:
         x_cls.need = st.floors(x_cls.rank, st.table[x_cls.members[0]], [1] * x_cls.rank)
@@ -592,11 +589,10 @@ def _iter_pulls(
     )
 
     minima: list[tuple[int, ...]] = []
-    limits = [min(avail, slack[cls.rank]) for cls, avail in pool]
+    limits = [avail for _, avail in pool]
     balances = [cls.surplus for cls, _ in pool]
     ranks = [cls.rank for cls, _ in pool]
-    for vec in _minimal_candidates(limits, minima, balances, -surplus, ranks, need):
-        st.tick()
+    for vec in _minimal_candidates(limits, minima, balances, -surplus, ranks, need, slack):
         pulls: list[NodeId] = []
         for (cls, avail), v in zip(pool, vec):
             pulls.extend(cls.members[avail - v : avail])
@@ -606,10 +602,7 @@ def _iter_pulls(
         for (cls, _), v in zip(pool, vec):
             cls.pulled += v
             slack[cls.rank] -= v
-        # a pool rank had slack >= 0 (it has free members); a pull that
-        # drives it negative would leave the rank absent from the root
-        if all(slack[cls.rank] >= 0 for cls, _ in pool):
-            yield pulls
+        yield pulls
         for (cls, _), v in zip(pool, vec):
             cls.pulled -= v
             slack[cls.rank] += v
@@ -617,22 +610,25 @@ def _iter_pulls(
 
 def _minimal_candidates(
     limits: list[int], minima: list[tuple[int, ...]], balances: list[int], deficit: int,
-    groups: list[int], floors: list[int],
+    groups: list[int], floors: list[int], ceilings: list[int],
 ):
     """Vectors up to ``limits``, ascending by total and then lexicographically,
     whose weighted sum against ``balances`` reaches ``deficit``, whose
     coordinates in each group g (``groups[i]`` is i's) sum to at least
-    ``floors[g]``, and that sit at or above none of the ``minima``.
+    ``floors[g]`` and at most ``ceilings[g]``, and that sit at or above none
+    of the ``minima``.
 
     The consumer appends its successes to ``minima``.  One prefix walk per
-    total, from the floors' sum up, cuts a prefix that can no longer reach
-    the deficit, fill the total, or meet every floor, or that sits at or
-    above a minimum whose remaining coordinates are all zero; it carries
-    down only the minima its prefix sits at or above.  ``minima`` is read
-    once per total: a minimum recorded during total t has total t, so it
-    is above no other vector of that total.
+    total, from the floors' sum up, caps each coordinate at what its group
+    may still take and cuts a prefix that can no longer reach the deficit,
+    fill the total, or meet every floor, or that sits at or above a minimum
+    whose remaining coordinates are all zero; it carries down only the
+    minima its prefix sits at or above.  ``minima`` is read once per total:
+    a minimum recorded during total t has total t, so it is above no other
+    vector of that total.
     """
     n = len(limits)
+    limits = [min(limit, ceilings[g]) for limit, g in zip(limits, groups)]
     # room[i], power[i]: the most coordinates i.. add to the total and to the weighted sum
     room, power = [0] * (n + 1), [0] * (n + 1)
     after, cap = [0] * n, [0] * len(floors)  # after[i]: the most i's group adds after i
@@ -641,9 +637,10 @@ def _minimal_candidates(
         power[i] = power[i + 1] + limits[i] * balances[i]
         after[i] = cap[groups[i]]
         cap[groups[i]] += limits[i]
-    if deficit > power[0] or any(f > c for f, c in zip(floors, cap)):
+    # what each group still lacks and may still take, booked per prefix
+    short, spare = [max(f, 0) for f in floors], ceilings[:]
+    if deficit > power[0] or any(f > min(c, k) for f, c, k in zip(short, cap, spare)):
         return
-    short = [max(f, 0) for f in floors]  # what each group still lacks, booked per prefix
 
     def choose(i: int, state: tuple):
         # live: (minimum, its last nonzero index) for each minimum the prefix is
@@ -651,7 +648,7 @@ def _minimal_candidates(
         rest, need, prefix, live, lack = state
         g, owed = groups[i], short[groups[i]]
         low, high = max(0, rest - room[i + 1], owed - after[i]), rest - lack + owed
-        for v in range(low, min(high, limits[i]) + 1):
+        for v in range(low, min(high, limits[i], spare[g]) + 1):
             left = need - v * balances[i]
             if left > power[i + 1]:
                 continue
@@ -662,8 +659,10 @@ def _minimal_candidates(
                     break  # so is every larger v
             paid = min(v, owed)
             short[g] -= paid
+            spare[g] -= v
             yield rest - v, left, prefix + (v,), above, lack - paid
             short[g] += paid
+            spare[g] += v
 
     lack = sum(short)
     for total in range(lack, room[0] + 1):
@@ -686,8 +685,8 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     unless its Union flag or size decides it.  Targets are tried by rank,
     key and id, so the search effort does not depend on the labeling.
 
-    ``budget`` caps the search effort in ticks, spent on subtree
-    decisions, candidate probes and keep vectors.  A keep count that the
+    ``budget`` caps the search effort in ticks, spent on keep levels and
+    vectors, splits and subtree decisions.  A keep count that the
     per-rank test rules out, with the classes before it booked and later
     ones counting 0, is charged in one step what walking every keep vector
     below it would cost: a tick per level entered and per vector.  Keep

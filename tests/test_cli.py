@@ -277,6 +277,13 @@ class TestGen:
         tree = parse_tree(capsys.readouterr().out)
         assert tree.node_count == 14
 
+    @pytest.mark.parametrize("kind", ["uf", "mutant"])
+    def test_gen_prints_the_library_tree_at_its_defaults(self, capsys, kind):
+        assert main(["gen", kind, "-n", "40", "--seed", "7"]) == 0
+        t = random_uf_tree(40, 7)
+        expected = serialize_tree(t if kind == "uf" else forest.mutate(t, 7))
+        assert capsys.readouterr().out == expected
+
 
 class TestOracleAndDot:
     def test_oracle_small_tree(self, tmp_path, capsys):

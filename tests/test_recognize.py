@@ -1,8 +1,10 @@
 """Recognition procedures, filters, certificates, and the push oracle."""
 
+import collections
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,21 @@ def mutated_engine_tree(s):
     return t
 
 
+# sweep tree -> its smallest deciding budget; the test ids name the tree only
+KEEP_CAP_SWEEP = {197: 12, 1070: 9, 1390: 11, 339: 5, 440: 5, 1088: 5, 1438: 25}
+PULL_FLOOR_SWEEP = {82: 6, 258: 12, 535: 13, 544: 9, 917: 28}
+
+
+def assert_decided_at_its_budget_as_the_oracle_says(s, ticks):
+    t = mutated_engine_tree(s)
+    verdict = is_union_find_tree(t, budget=ticks)
+    assert verdict.reason != REASON_BUDGET
+    assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
+    assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
+    if verdict.certificate is not None:
+        assert check_certificate(t, verdict.certificate), s
+
+
 class TestUnionCondition:
     def test_leaf(self):
         assert satisfies_union_condition(singleton(), 0)
@@ -141,6 +158,11 @@ class TestUnionCondition:
 
     def test_positive_rank_singleton_fails(self):
         assert not satisfies_union_condition(singleton(1), 0)
+
+    @pytest.mark.parametrize("x", [-1, 1])
+    def test_unknown_node_is_refused(self, x):
+        with pytest.raises(ValueError, match="unknown node id"):
+            satisfies_union_condition(singleton(), x)
 
 
 class TestIsUnionTree:
@@ -314,38 +336,38 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 74),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 57),
             (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 6),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 49),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 37),
             # the gadget tail probe: splits that overfill a basket are never
             # tried, and no keep vector keeps an apple
-            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 212),
-            (lambda: random_uf_tree(60, 0), 31),
-            (lambda: random_uf_tree(100, 0), 40),
+            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 155),
+            (lambda: random_uf_tree(60, 0), 25),
+            (lambda: random_uf_tree(100, 0), 30),
             # pull vectors below a rank's floor are never walked or ticked
-            (lambda: random_uf_tree(100, 1), 956),
-            (lambda: random_uf_tree(200, 4), 75),
-            (lambda: random_uf_tree(400, 1), 884),
-            (lambda: random_uf_tree(400, 2), 1957),
+            (lambda: random_uf_tree(100, 1), 735),
+            (lambda: random_uf_tree(200, 4), 57),
+            (lambda: random_uf_tree(400, 1), 853),
+            (lambda: random_uf_tree(400, 2), 1929),
             # most of its ticks are keep counts the per-rank test refutes
-            (lambda: random_uf_tree(400, 7), 1557),
+            (lambda: random_uf_tree(400, 7), 1520),
             # unsolvable: the search refutes it
-            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 136),
+            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 102),
             # free children that outrank no pushed class are no targets
-            (lambda: wide_tree(900), 6),
+            (lambda: wide_tree(900), 5),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 74),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 74),
-            (lambda: relabel(random_uf_tree(200, 4)), 75),
-            (lambda: relabel(random_uf_tree(200, 4), 3), 75),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 57),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 57),
+            (lambda: relabel(random_uf_tree(200, 4)), 57),
+            (lambda: relabel(random_uf_tree(200, 4), 3), 57),
             # refuted: candidates too small for their rank are never searched
-            (lambda: SIZE_REFUTED, 18),
+            (lambda: SIZE_REFUTED, 13),
             # a free target pulled below an earlier target receives nothing
-            (lambda: random_uf_tree(200, 15), 297),
+            (lambda: random_uf_tree(200, 15), 276),
             # the walk resumes past a free target left untouched
-            (lambda: RESUMED_PAST_FREE, 16),
+            (lambda: RESUMED_PAST_FREE, 14),
             # a walk through every target that leaves a pushed child over
-            (lambda: LEFT_OVER, 20),
+            (lambda: LEFT_OVER, 13),
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
@@ -385,8 +407,26 @@ class TestRecognizer:
             digest.update(repr((inst.id, verdict.reason, ticks, steps)).encode())
         assert len(instances) == 71
         assert digest.hexdigest() == (
-            "154d498c9091d5da4be427edcd11df2b77eb5d78ae01c0333429507e45a01125"
+            "9c5b2de2a7e69ad3e370afbd8f5dc498e04e213f9e55242df8ee5aa2032fce7b"
         )
+
+    def test_a_decided_pull_vector_is_ticked_once(self, tmp_path, monkeypatch):
+        # over the 71 seed-0 benchmark instances at budget 20,000, the pull
+        # walk charges nothing itself, and each decision one tick
+        instances = benchmark_corpus(tmp_path, monkeypatch)
+        ticks, decided = collections.Counter(), []
+        tick, decide = _Search.tick, recognize._decide
+
+        def counted(search, count=1):
+            ticks[sys._getframe(1).f_code.co_name] += count
+            tick(search, count)
+
+        monkeypatch.setattr(_Search, "tick", counted)
+        monkeypatch.setattr(recognize, "_decide", lambda *a: decided.append(1) or decide(*a))
+        for inst in instances:
+            is_union_find_tree(inst.tree, budget=20_000)
+        assert "_iter_pulls" not in ticks
+        assert ticks["_decide"] == len(decided) > 0
 
     def test_pull_walk_cost_is_pinned(self, tmp_path, monkeypatch):
         # prefixes the candidate and split walks visit over the 37 seed-0
@@ -396,7 +436,7 @@ class TestRecognizer:
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
-        assert prefixes[0] == 7255
+        assert prefixes[0] == 7241
 
     def test_keep_walk_cost_is_pinned(self, tmp_path, monkeypatch):
         # keep levels entered over the 37 seed-0 engine-positives trees at
@@ -407,7 +447,7 @@ class TestRecognizer:
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
-        assert entered[0] == 469
+        assert entered[0] == 468
 
     def test_search_rejection_names_the_search(self):
         # the root passes every filter; a filter that fired in some abandoned
@@ -431,10 +471,10 @@ class TestRecognizer:
 
     @pytest.mark.parametrize("n, s", [(31, 6019), (20, 48844)])
     def test_same_rank_pulls_that_overdraw_the_root_together_are_skipped(self, n, s):
-        # each pull coordinate is capped at its rank's slack, but two free
-        # classes of one rank can still take that rank's last root child
-        # together; only the slack check skips such a vector.  Without it
-        # both trees are accepted with certificates that do not replay.  The
+        # two free classes of one rank can each fit that rank's slack yet
+        # take its last root child together; the pull walk's ceiling on the
+        # rank's sum never generates such a vector.  Without the ceiling both
+        # trees are accepted with certificates that do not replay.  The
         # oracle rejects the 20-node tree too, in about 35 s.
         t = random_uf_tree(n, s, 0.4)
         for k in range(4):
@@ -474,7 +514,7 @@ class TestRecognizer:
                     (3, 0, 1, 1, 1, 0, 2, 0, 0, 0, 0, 1, 0),
                 ),
                 True,
-                14,
+                11,
             ),
             (
                 RankedTree(
@@ -494,7 +534,7 @@ class TestRecognizer:
                     (4, 0, 1, 0, 2, 0, 1, 0, 3, 0, 0, 1, 1, 2, 0, 0, 0, 0),
                 ),
                 True,
-                22,
+                18,
             ),
         ],
         ids=["accept", "reject", "needy-graft"],
@@ -508,33 +548,18 @@ class TestRecognizer:
         if accepted:
             assert check_certificate(t, verdict.certificate)
 
-    @pytest.mark.parametrize(
-        "s, ticks",
-        [(197, 15), (1070, 11), (1390, 14), (339, 5), (440, 5), (1088, 5), (1438, 31)],
-    )
-    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s, ticks):
+    @pytest.mark.parametrize("s", KEEP_CAP_SWEEP)
+    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s):
         # trees of the 1,500-tree oracle sweep on which the keep stage caps a
         # needy class below its size, at their smallest deciding budget
-        t = mutated_engine_tree(s)
-        verdict = is_union_find_tree(t, budget=ticks)
-        assert verdict.reason != REASON_BUDGET
-        assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
-        assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
-        if verdict.certificate is not None:
-            assert check_certificate(t, verdict.certificate), s
+        assert_decided_at_its_budget_as_the_oracle_says(s, KEEP_CAP_SWEEP[s])
 
-    @pytest.mark.parametrize("s, ticks", [(82, 6), (258, 15), (535, 15), (544, 11), (917, 37)])
-    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(self, s, ticks):
+    @pytest.mark.parametrize("s", PULL_FLOOR_SWEEP)
+    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(self, s):
         # trees of the 1,500-tree oracle sweep on which a rank's pull floor
         # of 2 or more cuts a vector that covers every missing rank, at
         # their smallest deciding budget
-        t = mutated_engine_tree(s)
-        verdict = is_union_find_tree(t, budget=ticks)
-        assert verdict.reason != REASON_BUDGET
-        assert is_union_find_tree(t, budget=ticks - 1).reason == REASON_BUDGET
-        assert verdict.accepted == brute_force_is_uf(t, max_nodes=64), s
-        if verdict.certificate is not None:
-            assert check_certificate(t, verdict.certificate), s
+        assert_decided_at_its_budget_as_the_oracle_says(s, PULL_FLOOR_SWEEP[s])
 
     def test_candidate_key_is_the_canonical_key_of_the_enriched_subtree(self):
         flat = make_flat_tree(parse_instance("1,2,3,4,4;2"))
@@ -653,65 +678,82 @@ class TestRecognizer:
             assert len(verdict.certificate) <= gap <= st_seed.node_count**2
 
 
-def reference_candidates(limits, minima, balances, deficit, groups, floors):
+def reference_candidates(limits, minima, balances, deficit, groups, floors, ceilings):
     """Every vector up to the limits by total, then lexicographically, less
     those short of the deficit, those whose coordinates in some group sum
-    below its floor, and those at or above a recorded minimum."""
+    below its floor or above its ceiling, and those at or above a recorded
+    minimum."""
     space = itertools.product(*(range(limit + 1) for limit in limits))
     for vec in sorted(space, key=lambda vec: (sum(vec), vec)):
         if sum(v * b for v, b in zip(vec, balances)) < deficit:
             continue
         sums = [sum(v for v, g in zip(vec, groups) if g == h) for h in range(len(floors))]
-        if any(total < floor for total, floor in zip(sums, floors)):
+        if any(not low <= total <= high for total, low, high in zip(sums, floors, ceilings)):
             continue
         if any(all(v >= m for v, m in zip(vec, low)) for low in minima):
             continue
         yield vec
 
 
-def consumed(enumerate_, limits, balances, deficit, succeeds, groups, floors):
+def consumed(enumerate_, limits, balances, deficit, succeeds, groups, floors, ceilings):
     """The vectors an enumeration yields to a consumer that records each
-    success as a minimum, the way the pull search does."""
+    success as a minimum, the way the pull search does.  The enumeration
+    leaves its other arguments as it found them."""
     minima, seen = [], []
-    for vec in enumerate_(limits, minima, balances, deficit, groups, floors):
+    arguments = limits, balances, groups, floors, ceilings
+    before = [list(argument) for argument in arguments]
+    for vec in enumerate_(limits, minima, balances, deficit, groups, floors, ceilings):
         seen.append(vec)
         if succeeds(vec):
             minima.append(vec)
+    assert [list(argument) for argument in arguments] == before
     return seen
 
 
 class TestMinimalCandidates:
+    # ceilings that do not bind are each group's capacity, the sum of its limits
     @pytest.mark.parametrize(
-        "limits, balances, deficit, succeeds, groups, floors",
+        "limits, balances, deficit, succeeds, groups, floors, ceilings",
         [
-            ([], [], 0, lambda vec: False, [], [0]),
-            ([], [], 1, lambda vec: True, [], [0]),
-            ([2, 3], [0, 0], 0, lambda vec: False, [0, 1], [0, 0]),
-            ([2, 3], [0, 0], 1, lambda vec: True, [0, 1], [0, 0]),
-            ([2, 1, 2], [0, 1, 0], 1, lambda vec: sum(vec) == 3, [0, 1, 2], [0, 0, 0]),
-            ([1, 2, 2], [2, 1, 0], -1, lambda vec: True, [0, 1, 2], [0, 0, 0]),  # zero wins
-            ([1, 1, 1], [1, 1, 1], 2, lambda vec: vec[0] == 1, [0, 1, 2], [0, 0, 0]),
-            ([3], [2], 3, lambda vec: True, [0], [0]),  # one coordinate takes the whole total
-            ([3], [2], 3, lambda vec: False, [0], [0]),
-            ([0, 2, 0], [1, 1, 1], 1, lambda vec: False, [0, 1, 2], [0, 0, 0]),  # a zero limit
-            ([2, 0], [1, 5], 1, lambda vec: vec == (2, 0), [0, 1], [0, 0]),  # last limit zero
+            ([], [], 0, lambda vec: False, [], [0], [0]),
+            ([], [], 1, lambda vec: True, [], [0], [0]),
+            ([2, 3], [0, 0], 0, lambda vec: False, [0, 1], [0, 0], [2, 3]),
+            ([2, 3], [0, 0], 1, lambda vec: True, [0, 1], [0, 0], [2, 3]),
+            ([2, 1, 2], [0, 1, 0], 1, lambda vec: sum(vec) == 3, [0, 1, 2], [0, 0, 0], [2, 1, 2]),
+            # the zero vector wins
+            ([1, 2, 2], [2, 1, 0], -1, lambda vec: True, [0, 1, 2], [0, 0, 0], [1, 2, 2]),
+            ([1, 1, 1], [1, 1, 1], 2, lambda vec: vec[0] == 1, [0, 1, 2], [0, 0, 0], [1, 1, 1]),
+            # one coordinate takes the whole total
+            ([3], [2], 3, lambda vec: True, [0], [0], [3]),
+            ([3], [2], 3, lambda vec: False, [0], [0], [3]),
+            # a zero limit, and a last limit of zero
+            ([0, 2, 0], [1, 1, 1], 1, lambda vec: False, [0, 1, 2], [0, 0, 0], [0, 2, 0]),
+            ([2, 0], [1, 5], 1, lambda vec: vec == (2, 0), [0, 1], [0, 0], [2, 0]),
             # several coordinates of one group share its floor
-            ([2, 1, 2], [0, 0, 0], 0, lambda vec: False, [0, 1, 0], [3, 0]),
-            ([2, 1, 2], [1, 0, 1], 0, lambda vec: vec[1] == 1, [0, 1, 0], [2, 1]),
-            ([1, 1, 1], [0, 0, 0], 0, lambda vec: False, [0, 0, 0], [3]),  # only the full vector
+            ([2, 1, 2], [0, 0, 0], 0, lambda vec: False, [0, 1, 0], [3, 0], [4, 1]),
+            ([2, 1, 2], [1, 0, 1], 0, lambda vec: vec[1] == 1, [0, 1, 0], [2, 1], [4, 1]),
+            # only the full vector
+            ([1, 1, 1], [0, 0, 0], 0, lambda vec: False, [0, 0, 0], [3], [3]),
             # a floor above its group's capacity, or on a group with no coordinate
-            ([1, 2], [1, 1], 0, lambda vec: True, [0, 1], [2, 0]),
-            ([2], [1], 0, lambda vec: True, [0], [0, 1]),
+            ([1, 2], [1, 1], 0, lambda vec: True, [0, 1], [2, 0], [1, 2]),
+            ([2], [1], 0, lambda vec: True, [0], [0, 1], [2, 0]),
             # floors at or below 0 cut nothing
-            ([2, 3], [1, 0], 1, lambda vec: sum(vec) == 2, [0, 1], [-1, -3]),
+            ([2, 3], [1, 0], 1, lambda vec: sum(vec) == 2, [0, 1], [-1, -3], [2, 3]),
             # a floored group's minimum still cuts the vectors above it
-            ([2, 2, 1], [1, 0, 2], 2, lambda vec: vec[0] >= 1, [1, 0, 1], [1, 1]),
+            ([2, 2, 1], [1, 0, 2], 2, lambda vec: vec[0] >= 1, [1, 0, 1], [1, 1], [2, 3]),
+            # two coordinates of one group that fit its ceiling apart, not together
+            ([1, 1], [1, 1], 1, lambda vec: False, [0, 0], [0], [1]),
+            ([2, 2, 1], [1, 1, 0], 2, lambda vec: vec == (1, 1, 1), [0, 0, 1], [0, 1], [2, 1]),
+            # a ceiling of 0 keeps its group out of every vector
+            ([2, 2], [1, 1], 1, lambda vec: False, [0, 1], [0, 0], [0, 2]),
+            # a ceiling below its group's floor admits nothing
+            ([2, 2], [0, 0], 0, lambda vec: True, [0, 1], [2, 0], [1, 2]),
         ],
     )
     def test_edge_cases_match_the_reference(
-        self, limits, balances, deficit, succeeds, groups, floors
+        self, limits, balances, deficit, succeeds, groups, floors, ceilings
     ):
-        case = limits, balances, deficit, succeeds, groups, floors
+        case = limits, balances, deficit, succeeds, groups, floors, ceilings
         assert consumed(_minimal_candidates, *case) == consumed(reference_candidates, *case)
 
     def test_random_cases_match_the_reference(self):
@@ -727,24 +769,26 @@ class TestMinimalCandidates:
             capacity = [sum(l for l, g in zip(limits, groups) if g == h) for h in range(3)]
             floors = [rng.randint(-1, cap + (rng.random() < 0.1)) for cap in capacity]
             rate = rng.random()
+            ceilings = [rng.randint(-1, cap) for cap in capacity]
 
             def succeeds(vec):
                 return random.Random(f"{seed}/{vec}").random() < rate
 
-            case = limits, balances, deficit, succeeds, groups, floors
+            case = limits, balances, deficit, succeeds, groups, floors, ceilings
             expected = consumed(reference_candidates, *case)
             assert consumed(_minimal_candidates, *case) == expected, case
-            # floors at or below 0 leave the floor-free sequence exactly
+            # floors at or below 0 and ceilings at capacity leave the
+            # unbounded sequence exactly
             unfloored = [min(floor, 0) for floor in floors]
-            expected = consumed(reference_candidates, limits, balances, deficit, succeeds, (), ())
-            got = consumed(_minimal_candidates, *case[:4], groups, unfloored)
+            expected = consumed(reference_candidates, *case[:4], (), (), ())
+            got = consumed(_minimal_candidates, *case[:4], groups, unfloored, capacity)
             assert got == expected, case
 
     def test_coordinates_take_no_stack_frames(self):
         # a frame per coordinate would overflow at 2,000
-        walk = _minimal_candidates([1] * 2000, [], [0] * 2000, 0, [0] * 2000, [0])
+        walk = _minimal_candidates([1] * 2000, [], [0] * 2000, 0, [0] * 2000, [0], [2000])
         assert next(walk) == (0,) * 2000
-        walk = _minimal_candidates([1] * 2000, [], [0] * 2000, 0, [0] * 2000, [2000])
+        walk = _minimal_candidates([1] * 2000, [], [0] * 2000, 0, [0] * 2000, [2000], [2000])
         assert list(walk) == [(1,) * 2000]
 
 
