@@ -25,6 +25,7 @@ from .tree import (
     RankedTree,
     canonical_form,
     canonical_key,
+    counted_lines,
     legal_pushes,
     node_key,
     push,
@@ -232,14 +233,7 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     # gain[r]: the most rank-0 surplus that kept children of rank r can
     # receive.  It comes from lower ranks, pushed or pulled, and each rank
     # keeps a child at the root: rank q gives its best per_rank[q] - 1.
-    gain = [0] * (rank + 1)
-    if any(cls.surplus < 0 for cls in needy):
-        room = [n - 1 for n in per_rank]
-        for cls in sorted(classes, key=lambda cls: -cls.surplus):
-            take = min(len(cls.members), room[cls.rank])
-            room[cls.rank] -= take
-            gain[cls.rank + 1] += take * max(cls.surplus, 0)
-        gain = list(accumulate(gain))
+    gain = [0, *accumulate(_best_surplus(classes, [n - 1 for n in per_rank]))]
 
     for kept_per_rank in _keep_choices(st, rank, needy, per_rank, free_per_rank, gain):
         st.tick()
@@ -249,6 +243,16 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         if steps is not None:
             return steps
     return None
+
+
+def _best_surplus(classes: list[_Class], caps: list[int]) -> list[int]:
+    """Per rank r, the most rank-0 surplus that ``caps[r]`` members of rank r carry."""
+    best, room = [0] * len(caps), caps[:]
+    for cls in sorted(classes, key=lambda cls: -cls.surplus):
+        take = min(len(cls.members), room[cls.rank])
+        room[cls.rank] -= take
+        best[cls.rank] += take * max(cls.surplus, 0)
+    return best
 
 
 def _keep_choices(st: _Search, rank: int, needy: list[_Class], per_rank, free_per_rank, gain):
@@ -392,15 +396,10 @@ def _assign_targets(
     # between targets.  So the targets still to serve can end with at most
     # the pool: their own surplus, every pushed child's, and the best pulls
     # from the free children that are no targets, at most slack[r] of rank
-    # r.  A served target books the surplus it ends with.
-    pool = sum(len(cls.members) * cls.surplus for cls in needy)
-    spare = slack[:]
-    for cls in sorted(free, key=lambda cls: -cls.surplus):
-        take = len(cls.members)
-        if cls.rank <= lowest:  # no target
-            take = min(take, spare[cls.rank])
-            spare[cls.rank] -= take
-        pool += take * cls.surplus
+    # r; ranks above the lowest pushed one hold only targets, taken in
+    # full.  A served target books the surplus it ends with.
+    caps = [spare if r <= lowest else len(st.rank) for r, spare in enumerate(slack)]
+    pool = sum(len(cls.members) * cls.surplus for cls in needy) + sum(_best_surplus(free, caps))
 
     def serve(ti: int, _):
         # one yield per way to serve target ti; its grafts, pulls and surplus
@@ -753,8 +752,10 @@ def check_certificate(t: RankedTree, cert: Certificate) -> bool:
 
     True iff every step is a legal push in sequence, the final tree is a
     Union tree, and the step count is at most ``node_count**2``.  Any
-    illegal step yields False rather than an exception.
+    illegal step yields False rather than an exception; an invalid tree
+    raises :class:`InvalidTreeError`.
     """
+    validate(t).raise_if_invalid()
     if len(cert.steps) > t.node_count**2:
         return False
     parent = list(t.parent)
@@ -773,27 +774,14 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("missing certificate header", 1)
-    try:
-        count = int(lines[0])
-    except ValueError:
-        raise FormatError(f"header must be a step count, got {lines[0]!r}", 1) from None
-    if count < 0:
-        raise FormatError(f"step count must be at least 0, got {count}", 1)
-    if len(lines) < count + 1:
-        raise FormatError(f"expected {count} push lines", len(lines) + 1)
-    for i in range(count + 1, len(lines)):
-        if lines[i].strip():
-            raise FormatError(f"trailing content after {count} push lines", i + 1)
+    body, first = counted_lines(text, "step", "push", 0, None)
     steps = []
-    for i in range(count):
-        fields = lines[1 + i].split()
+    for lineno, line in enumerate(body, first):
+        fields = line.split()
         if len(fields) != 3 or fields[0] != "push":
-            raise FormatError(f"expected 'push x y', got {lines[1 + i]!r}", i + 2)
+            raise FormatError(f"expected 'push x y', got {line!r}", lineno)
         try:
             steps.append((int(fields[1]), int(fields[2])))
         except ValueError:
-            raise FormatError(f"non-integer node id in {lines[1 + i]!r}", i + 2) from None
+            raise FormatError(f"non-integer node id in {line!r}", lineno) from None
     return Certificate(tuple(steps))

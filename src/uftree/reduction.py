@@ -170,6 +170,8 @@ def solve_partition(inst: PartitionInstance) -> PartitionSolution | None:
     m = len(inst.weights)
     if m > SOLVER_WEIGHT_CAP:
         raise CapExceeded(f"solver is capped at {SOLVER_WEIGHT_CAP} weights, got {m}")
+    if inst.parts > m:  # weights are positive, so every part needs one
+        return None
     order = sorted(range(m), key=lambda i: -inst.weights[i])
     residual = [inst.target] * inst.parts
     assignment = [-1] * m

@@ -378,32 +378,40 @@ def serialize_tree(t: RankedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def counted_lines(text: str, what: str, row: str, least: int, cap: int | None):
+    """The body lines of a counted text format, and the line number of the first:
+    after optional ``#`` lines, a header with a ``what`` count of at least
+    ``least`` (above ``cap``, :class:`CapExceeded` before any body line is
+    read), that many ``row`` lines, then blank lines only."""
+    lines = text.splitlines()
+    pos = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    if pos == len(lines):
+        raise FormatError("missing header line", pos + 1)
+    try:
+        n = int(lines[pos])
+    except ValueError:
+        raise FormatError(f"header must be a {what} count, got {lines[pos]!r}", pos + 1) from None
+    if n < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise FormatError(f"{what} count must be {bound}, got {n}", pos + 1)
+    if cap is not None and n > cap:
+        raise CapExceeded(f"tree has {n} nodes, cap is {cap}")
+    body = lines[pos + 1 : pos + 1 + n]
+    if len(body) < n:
+        raise FormatError(f"expected {n} {row} lines, found {len(body)}", len(lines) + 1)
+    for lineno, extra in enumerate(lines[pos + 1 + n :], pos + 2 + n):
+        if extra.strip():
+            raise FormatError(f"trailing content after {row} lines", lineno)
+    return body, pos + 2
+
+
 def _parse(
     text: str, max_nodes: int | None
 ) -> tuple[RankedTree, dict[int, int] | None]:
     """:func:`parse_tree_with_map`, with ``None`` for the map when the ids
     are already 0..n-1."""
-    lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and lines[pos].startswith("#"):
-        pos += 1
-    if pos >= len(lines):
-        raise FormatError("missing header line", pos + 1)
-    header = lines[pos]
-    try:
-        n = int(header)
-    except ValueError:
-        raise FormatError(f"header must be a node count, got {header!r}", pos + 1) from None
-    if n < 1:
-        raise FormatError(f"node count must be positive, got {n}", pos + 1)
-    if max_nodes is not None and n > max_nodes:
-        raise CapExceeded(f"tree has {n} nodes, cap is {max_nodes}")
-    body = lines[pos + 1 :]
-    if len(body) < n:
-        raise FormatError(f"expected {n} node lines, found {len(body)}", len(lines) + 1)
-    if any(extra.strip() for extra in body[n:]):
-        raise FormatError("trailing content after node lines", pos + 1 + n + 1)
-    del body[n:]
+    body, first = counted_lines(text, "node", "node", 1, max_nodes)
+    n = len(body)
 
     # One split over every node line, with a ";" token between lines.  If
     # there are 4n - 1 tokens and the 3n outside every fourth slot are all
@@ -419,7 +427,7 @@ def _parse(
         ids = None
     del tokens
     if ids is None or not all(map(lt, ids, islice(ids, 1, None))):
-        raise _node_line_error(body, pos + 2)
+        raise _node_line_error(body, first)
 
     if ids[0] == 0 and ids[-1] == n - 1:  # strictly increasing: exactly 0..n-1
         id_map = None
@@ -428,13 +436,13 @@ def _parse(
     else:
         id_map = dict(zip(ids, range(n)))
         if NO_PARENT in id_map:
-            raise _node_line_error(body, pos + 2)
+            raise _node_line_error(body, first)
         parent = tuple(map({**id_map, NO_PARENT: NO_PARENT}.get, parents))
         known = None not in parent
     if not known:
         present = set(ids)
         i = next(i for i, p in enumerate(parents) if p != NO_PARENT and p not in present)
-        raise FormatError(f"unknown parent id {parents[i]}", pos + 2 + i)
+        raise FormatError(f"unknown parent id {parents[i]}", first + i)
 
     tree = RankedTree(parent, rank)
     validate(tree).raise_if_invalid()

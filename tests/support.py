@@ -246,8 +246,9 @@ def reference_parse_tree_with_map(
     body = lines[pos + 1 :]
     if len(body) < n:
         raise FormatError(f"expected {n} node lines, found {len(body)}", len(lines) + 1)
-    if any(extra.strip() for extra in body[n:]):
-        raise FormatError("trailing content after node lines", pos + 1 + n + 1)
+    for i in range(n, len(body)):
+        if body[i].strip():
+            raise FormatError("trailing content after node lines", pos + 2 + i)
 
     rows: list[tuple[int, int, int]] = []
     for i in range(n):

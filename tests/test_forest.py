@@ -82,6 +82,10 @@ class TestReplay:
         with pytest.raises(ValueError, match="out-of-range"):
             replay([("makeset", 2), ("union", 0, 5)])
 
+    def test_random_oplog_needs_an_element(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            random_oplog(0, 5, seed=0)
+
     def test_deterministic(self):
         log = random_oplog(32, 100, seed=5)
         a = export_trees(replay(log))

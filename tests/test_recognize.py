@@ -1047,3 +1047,25 @@ class TestCertificates:
         with pytest.raises(FormatError) as err:
             parse_certificate("1\npush 1 2\n\npush 3 4\n")
         assert err.value.line == 4
+
+    def test_comment_lines_may_precede_the_header(self):
+        from uftree.errors import FormatError
+
+        assert parse_certificate("# found by check\n#\n1\npush 1 2\n") == Certificate(((1, 2),))
+        with pytest.raises(FormatError, match="non-integer node id") as err:
+            parse_certificate("# found by check\n1\npush a 2\n")
+        assert err.value.line == 3
+
+    def test_short_body_rejected_after_its_last_line(self):
+        from uftree.errors import FormatError
+
+        with pytest.raises(FormatError, match="expected 2 push lines, found 1") as err:
+            parse_certificate("2\npush 1 2\n")
+        assert err.value.line == 3
+
+    def test_invalid_tree_raises(self):
+        from uftree.errors import InvalidTreeError
+
+        # nodes 1 and 2 are each other's parent: a cycle the Union count misses
+        with pytest.raises(InvalidTreeError, match="cyclic-parent-chain"):
+            check_certificate(RankedTree((-1, 2, 1), (0, 1, 1)), Certificate(()))

@@ -1,5 +1,6 @@
 """Gadget compiler, Partition solver, and the solver/recognizer cross-check."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -54,6 +55,18 @@ class TestInstances:
         with pytest.raises(ValueError, match="divisible"):
             PartitionInstance((1, 2), 2)
 
+    def test_no_weights(self):
+        with pytest.raises(ValueError, match="at least one weight"):
+            PartitionInstance((), 1)
+
+    @pytest.mark.parametrize(
+        "assignment", [(0, 1), (0, 1, 1, 0), (0, 2, 1)], ids=["short", "long", "part"]
+    )
+    def test_malformed_solution_is_invalid(self, assignment):
+        inst = PartitionInstance((1, 1, 2), 2)
+        assert is_valid_solution(inst, PartitionSolution((0, 0, 1)))
+        assert not is_valid_solution(inst, PartitionSolution(assignment))
+
 
 class TestGadgets:
     def test_apple_census(self):
@@ -78,6 +91,10 @@ class TestGadgets:
 
     def test_basket_size_seven(self):
         assert make_basket(7).node_count == 11
+
+    def test_basket_requires_positive(self):
+        with pytest.raises(ValueError, match="basket size must be positive"):
+            make_basket(0)
 
     def test_basket_alone_not_union_find(self):
         assert not brute_force_is_uf(make_basket(1), max_nodes=10)
@@ -186,6 +203,16 @@ class TestSolver:
         with pytest.raises(CapExceeded):
             solve_partition(PartitionInstance((1,) * 22, 2))
 
+    def test_more_parts_than_weights_is_refuted_without_allocating(self):
+        # each of the 10^7 parts would need a weight; a residual per part is 80 MB
+        tracemalloc.start()
+        try:
+            assert solve_partition(PartitionInstance((10**7,), 10**7)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_state_cap(self):
         # unbounded, the failed set grows past 3 GB on this instance without an answer
         with pytest.raises(CapExceeded, match="1000000 failed states"):
@@ -249,6 +276,15 @@ class TestVerifyReduction:
 
         flat = make_flat_tree(PartitionInstance((1, 1), 2))
         assert extract_solution(flat, Certificate(())) is None
+
+    def test_extraction_rejects_a_misplaced_apple(self):
+        from uftree.recognize import Certificate
+
+        flat = make_flat_tree(PartitionInstance((1, 1), 2))
+        (a, b), (p, q) = flat.apple_roots, flat.basket_roots
+        assert extract_solution(flat, Certificate(((a, p), (b, q)))) is not None
+        assert extract_solution(flat, Certificate(((a, b), (b, q)))) is None  # not a basket
+        assert extract_solution(flat, Certificate(((a, p), (a, q), (b, q)))) is None  # twice
 
     def test_node_cap(self, monkeypatch):
         # the cap fires on the counted size, before the tree is built

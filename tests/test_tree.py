@@ -45,6 +45,20 @@ from uftree.tree import (
 )
 
 
+class TestRankedTree:
+    @pytest.mark.parametrize(
+        "parent, rank, message",
+        [((-1,), (0, 0), "equal length"), ((), (), "at least one node")],
+    )
+    def test_bad_arrays(self, parent, rank, message):
+        with pytest.raises(ValueError, match=message):
+            RankedTree(parent, rank)
+
+    def test_root_of_a_rootless_tree(self):
+        with pytest.raises(ValueError, match="no root"):
+            RankedTree((1, 0), (0, 0)).root
+
+
 class TestValidate:
     def test_singleton_accepts(self):
         assert validate(singleton())
@@ -260,6 +274,10 @@ class TestPrecedes:
     def test_mismatched_sizes_error(self):
         with pytest.raises(ValueError, match="node set"):
             precedes(singleton(), chain(1, 0))
+
+    def test_mismatched_roots_error(self):
+        with pytest.raises(ValueError, match="same root"):
+            precedes(RankedTree((-1, 0), (1, 0)), RankedTree((1, -1), (1, 0)))
 
 
 def _all_trees_with(ranks, root):
@@ -481,6 +499,12 @@ class TestTextFormat:
             parse_tree("2\n0 -1 1\nbroken\n")
         assert err.value.line == 3
 
+    def test_trailing_content_is_reported_at_its_own_line(self):
+        assert parse_tree("1\n0 -1 0\n\n \n") == singleton()
+        with pytest.raises(FormatError, match="trailing") as err:
+            parse_tree("# tree\n1\n0 -1 0\n\nleft-over\n")
+        assert err.value.line == 5
+
     @given(ranked_trees())
     def test_parse_serialize_identity(self, t):
         assert parse_tree(serialize_tree(t)) == t
@@ -562,6 +586,7 @@ class TestParseMatchesPerLineReference:
             "2\n0 -1 1 ;\n1 0\n",
             "1\n0 -1 0\n\n  \n",
             "2\n0 -1 1\n1 0 0\nextra\n",
+            "2\n0 -1 1\n1 0 0\n\t\nextra\n",  # trailing content after a blank line
             "2\n0 -1 1\n",
             "2\n0 +0 1\n1_0 0 0\n",
         ],
