@@ -7,9 +7,10 @@ compressions; equivalently, it can be transformed into a Union tree by a
 sequence of pushes.  Union trees are recognized in linear time; Union-Find
 recognition is NP-complete, so :func:`is_union_find_tree` runs an exact
 memoized backtracking search and, on acceptance, returns a replayable push
-certificate.  Every level of its backtracking runs on one explicit-stack
-walk, :func:`_depth_first`, so Python frames nest once per rank, not per
-child or class.  :func:`brute_force_is_uf` is an independent oracle for
+certificate.  A subproblem of rank 2 or less is decided by counting; every
+level of the backtracking above runs on one explicit-stack walk,
+:func:`_depth_first`, so Python frames nest once per rank, not per child
+or class.  :func:`brute_force_is_uf` is an independent oracle for
 desk-scale cross-checks.
 """
 
@@ -198,6 +199,8 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     Returns None if no push sequence exists.  The caller has ruled out a
     Union tree and every structural filter.
     """
+    if rank == 2:
+        return _rank_two(st, kids)
     # Split the depth-one children into isomorphism classes and sort the
     # classes into needy (their standalone subtree is not a Union tree, so
     # they must be repaired in place or pushed into a repair site) and free
@@ -243,6 +246,17 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
         if steps is not None:
             return steps
     return None
+
+
+def _rank_two(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+    """:func:`_search` at rank 2: the only push there moves a depth-one leaf
+    below a rank-1 sibling, once, so each childless rank-1 child takes a
+    leaf, the root keeps one, and, as in the search, the last leaves go."""
+    zeros = sorted(c for c in kids if st.rank[c] == 0)
+    leaves = sorted(c for c in kids if st.rank[c] == 1 and not st.table[c])
+    if len(zeros) <= len(leaves) or len(zeros) == len(kids):  # or no rank-1 child
+        return None
+    return tuple(sorted(zip(reversed(zeros), leaves)))
 
 
 def _best_surplus(classes: list[_Class], caps: list[int]) -> list[int]:
@@ -685,7 +699,8 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     key and id, so the search effort does not depend on the labeling.
 
     ``budget`` caps the search effort in ticks, spent on keep levels and
-    vectors, splits and subtree decisions.  A keep count that the
+    vectors, splits and subtree decisions; a rank-2 subproblem is decided by
+    counting and costs only its decision tick.  A keep count that the
     per-rank test rules out, with the classes before it booked and later
     ones counting 0, is charged in one step what walking every keep vector
     below it would cost: a tick per level entered and per vector.  Keep

@@ -115,6 +115,23 @@ LEFT_OVER = RankedTree(
 )
 
 
+# Root 0 (rank 2) over the childless rank-1 node 1, leaf 2 and the rank-1
+# node 3 over three leaves.  Node 1 needs leaf 2 and the root must keep it:
+# refuted by counting, with every root filter passed.
+RANK_TWO_REFUTED = RankedTree((-1, 0, 0, 0, 3, 3, 3), (2, 1, 0, 1, 0, 0, 0))
+
+
+def random_rank_two_tree(rng, n):
+    """A rank-2 root over n - 1 nodes, each a depth-one child of rank 0 or 1
+    or a leaf below an earlier depth-one rank-1 node."""
+    parent, rank = [-1], [2]
+    for _ in range(1, n):
+        p = rng.choice([0] + [x for x in range(1, len(rank)) if parent[x] == 0 and rank[x] == 1])
+        parent.append(p)
+        rank.append(rng.randint(0, 1) if p == 0 else 0)
+    return RankedTree(tuple(parent), tuple(rank))
+
+
 def largest_export(n, seed):
     """The largest tree exported from a seeded op log with 3n operations."""
     trees = [e.tree for e in export_trees(replay(random_oplog(n, 3 * n, seed)))]
@@ -130,8 +147,8 @@ def mutated_engine_tree(s):
 
 
 # sweep tree -> its smallest deciding budget; the test ids name the tree only
-KEEP_CAP_SWEEP = {197: 12, 1070: 9, 1390: 11, 339: 5, 440: 5, 1088: 5, 1438: 25}
-PULL_FLOOR_SWEEP = {82: 6, 258: 12, 535: 13, 544: 9, 917: 28}
+KEEP_CAP_SWEEP = {197: 8, 1070: 5, 1390: 5, 339: 5, 440: 5, 1088: 5, 1438: 15}
+PULL_FLOOR_SWEEP = {82: 6, 258: 8, 535: 9, 544: 5, 917: 20}
 
 
 def assert_decided_at_its_budget_as_the_oracle_says(s, ticks):
@@ -336,44 +353,47 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 57),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 29),
             (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 6),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 37),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 23),
             # the gadget tail probe: splits that overfill a basket are never
             # tried, and no keep vector keeps an apple
-            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 155),
+            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 51),
             (lambda: random_uf_tree(60, 0), 25),
             (lambda: random_uf_tree(100, 0), 30),
             # pull vectors below a rank's floor are never walked or ticked
-            (lambda: random_uf_tree(100, 1), 735),
-            (lambda: random_uf_tree(200, 4), 57),
-            (lambda: random_uf_tree(400, 1), 853),
-            (lambda: random_uf_tree(400, 2), 1929),
+            (lambda: random_uf_tree(100, 1), 719),
+            (lambda: random_uf_tree(200, 4), 49),
+            (lambda: random_uf_tree(400, 1), 849),
+            (lambda: random_uf_tree(400, 2), 1925),
             # most of its ticks are keep counts the per-rank test refutes
-            (lambda: random_uf_tree(400, 7), 1520),
+            (lambda: random_uf_tree(400, 7), 1516),
             # unsolvable: the search refutes it
-            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 102),
+            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 56),
             # free children that outrank no pushed class are no targets
             (lambda: wide_tree(900), 5),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 57),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 57),
-            (lambda: relabel(random_uf_tree(200, 4)), 57),
-            (lambda: relabel(random_uf_tree(200, 4), 3), 57),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 29),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 29),
+            (lambda: relabel(random_uf_tree(200, 4)), 49),
+            (lambda: relabel(random_uf_tree(200, 4), 3), 49),
             # refuted: candidates too small for their rank are never searched
             (lambda: SIZE_REFUTED, 13),
             # a free target pulled below an earlier target receives nothing
-            (lambda: random_uf_tree(200, 15), 276),
+            (lambda: random_uf_tree(200, 15), 272),
             # the walk resumes past a free target left untouched
-            (lambda: RESUMED_PAST_FREE, 14),
+            (lambda: RESUMED_PAST_FREE, 10),
             # a walk through every target that leaves a pushed child over
             (lambda: LEFT_OVER, 13),
+            # rank 2 is decided by counting, in the root's one tick
+            (lambda: RANK_TWO_REFUTED, 1),
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
             "uf100-s1", "uf200-s4", "uf400-s1", "uf400-s2", "uf400-s7", "flat-44519971",
             "wide-k900", "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled", "size-refuted", "uf200-s15", "resumed-past-free", "left-over",
+            "rank-two-refuted",
         ],
     )
     def test_search_effort_is_pinned(self, build, ticks):
@@ -388,7 +408,9 @@ class TestRecognizer:
     def test_benchmark_corpora_are_searched_as_pinned(self, tmp_path, monkeypatch):
         # verdict, ticks and certificate of the 71 seed-0 instances of the
         # engine-positives, gadget-yes and gadget-no benchmark corpora at
-        # budget 20,000, in corpus order; an exhausted run counts as 20,001
+        # budget 20,000, in corpus order; an exhausted run counts as 20,001.
+        # The answers are also pinned apart from the ticks, so a change of
+        # effort cannot carry a change of certificate with it.
         instances = benchmark_corpus(tmp_path, monkeypatch)
         used = [0]
         tick = _Search.tick
@@ -398,16 +420,20 @@ class TestRecognizer:
             tick(search, count)
 
         monkeypatch.setattr(_Search, "tick", counted)
-        digest = hashlib.sha256()
+        digest, answers = hashlib.sha256(), hashlib.sha256()
         for inst in instances:
             used[0] = 0
             verdict = is_union_find_tree(inst.tree, budget=20_000)
             ticks = 20_001 if verdict.reason == REASON_BUDGET else used[0]
             steps = verdict.certificate.steps if verdict.certificate else None
             digest.update(repr((inst.id, verdict.reason, ticks, steps)).encode())
+            answers.update(repr((inst.id, verdict.reason, steps)).encode())
         assert len(instances) == 71
+        assert answers.hexdigest() == (
+            "252a093a0988115dfb10ba757585f4cd6d8c9241306d3a462317f9a0a125e8e7"
+        )
         assert digest.hexdigest() == (
-            "9c5b2de2a7e69ad3e370afbd8f5dc498e04e213f9e55242df8ee5aa2032fce7b"
+            "2e4da68bb9341a58646b2f9abadf1ca958ec938e06007df61b6504a3af70cc14"
         )
 
     def test_a_decided_pull_vector_is_ticked_once(self, tmp_path, monkeypatch):
@@ -436,7 +462,7 @@ class TestRecognizer:
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
-        assert prefixes[0] == 7241
+        assert prefixes[0] == 7214
 
     def test_keep_walk_cost_is_pinned(self, tmp_path, monkeypatch):
         # keep levels entered over the 37 seed-0 engine-positives trees at
@@ -447,7 +473,47 @@ class TestRecognizer:
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
-        assert entered[0] == 468
+        assert entered[0] == 443
+
+    def test_rank_two_subproblems_agree_with_the_oracle(self):
+        # every rank-2 tree of 7 nodes, and seeded random ones of up to 10
+        # nodes with their mutants: the closed form decides each search
+        rng = random.Random(2)
+        trees = [t for t in enumerate_trees(7) if t.root_rank == 2]
+        assert len(trees) == 74
+        for _ in range(200):
+            t = random_rank_two_tree(rng, rng.randint(4, 10))
+            trees += [t, mutate(t, rng.randrange(1 << 30))]
+        reasons = collections.Counter()
+        for t in trees:
+            verdict = is_union_find_tree(t)
+            assert verdict.accepted == brute_force_is_uf(t), (t.parent, t.rank)
+            if verdict.certificate is not None:
+                assert check_certificate(t, verdict.certificate), (t.parent, t.rank)
+            reasons[verdict.reason] += 1
+        assert reasons[REASON_CERTIFICATE] > 0 and reasons[REASON_SEARCH] > 0
+
+    def test_a_wide_rank_two_tree_is_decided_in_one_tick(self):
+        # a rank-2 root over k childless rank-1 nodes and k + 1 leaves; the
+        # generic search spent 100,001 ticks on it: the root's, a keep level
+        # and its vector, and per childless rank-1 child its split and its
+        # decided pull
+        k = 49_999
+        t = RankedTree((-1,) + (0,) * (2 * k + 1), (2,) + (1,) * k + (0,) * (k + 1))
+        assert t.node_count == 100_000
+        verdict = is_union_find_tree(t, budget=1)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert len(verdict.certificate) == 49_999
+        assert check_certificate(t, verdict.certificate)
+        assert is_union_find_tree(t, budget=0).reason == REASON_BUDGET
+
+    def test_a_rank_two_refutation_costs_the_root_tick(self):
+        # the generic search ran out of budget 1 here, in its keep stage
+        t = RANK_TWO_REFUTED
+        assert count_filter(t) and t.node_count >= 1 << t.root_rank
+        assert satisfies_union_condition(t, t.root) and not is_union_tree(t)
+        assert is_union_find_tree(t, budget=1).reason == REASON_SEARCH
+        assert not brute_force_is_uf(t)
 
     def test_search_rejection_names_the_search(self):
         # the root passes every filter; a filter that fired in some abandoned
@@ -514,7 +580,7 @@ class TestRecognizer:
                     (3, 0, 1, 1, 1, 0, 2, 0, 0, 0, 0, 1, 0),
                 ),
                 True,
-                11,
+                5,
             ),
             (
                 RankedTree(
@@ -534,7 +600,7 @@ class TestRecognizer:
                     (4, 0, 1, 0, 2, 0, 1, 0, 3, 0, 0, 1, 1, 2, 0, 0, 0, 0),
                 ),
                 True,
-                18,
+                14,
             ),
         ],
         ids=["accept", "reject", "needy-graft"],
