@@ -7,7 +7,7 @@ compressions; equivalently, it can be transformed into a Union tree by a
 sequence of pushes.  Union trees are recognized in linear time; Union-Find
 recognition is NP-complete, so :func:`is_union_find_tree` runs an exact
 memoized backtracking search and, on acceptance, returns a replayable push
-certificate.  A subproblem of rank 2 or less is decided by counting; every
+certificate.  A subproblem of rank 3 or less is decided by counting; every
 level of the backtracking above runs on one explicit-stack walk,
 :func:`_depth_first`, so Python frames nest once per rank, not per child
 or class.  :func:`brute_force_is_uf` is an independent oracle for
@@ -197,10 +197,18 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     The subproblem is a root of the given rank whose children are the
     input-tree nodes ``kids``, each with its subtree from the input tree.
     Returns None if no push sequence exists.  The caller has ruled out a
-    Union tree and every structural filter.
+    Union tree and every structural filter.  Rank 3 or less is decided by
+    counting; only a higher rank is searched, by :func:`_backtrack`.
     """
     if rank == 2:
         return _rank_two(st, kids)
+    if rank == 3:
+        return _rank_three(st, kids)
+    return _backtrack(st, rank, kids)
+
+
+def _backtrack(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+    """:func:`_search` by backtracking, at any rank from 3 up."""
     # Split the depth-one children into isomorphism classes and sort the
     # classes into needy (their standalone subtree is not a Union tree, so
     # they must be repaired in place or pushed into a repair site) and free
@@ -257,6 +265,57 @@ def _rank_two(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | 
     if len(zeros) <= len(leaves) or len(zeros) == len(kids):  # or no rank-1 child
         return None
     return tuple(sorted(zip(reversed(zeros), leaves)))
+
+
+def _rank_three(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+    """:func:`_search` at rank 3.  Nothing outranks a rank-2 child, so each
+    stays, and ends as :func:`_rank_two` pairs what lies below it: it needs
+    a rank-1 child, and a leaf for each childless one plus one it keeps.
+    The root keeps a rank-1 child, one with children if it can.  Rank-2
+    children that lack rank 1 take the other rank-1 children with children
+    first, those without spare leaves before the rest.  The childless
+    rank-1 children left fill spare leaves, which never leave their rank-2
+    child.  Root leaves cover every deficit and each childless rank-1 child
+    still at the root, and the root keeps one.  Pushes at the root come
+    first, then the pairings below each rank-2 child, memoized as a
+    searched subproblem's steps are.
+    """
+    table, rank = st.table, st.rank
+    leaves = sorted(c for c in kids if rank[c] == 0)
+    full = sorted(c for c in kids if rank[c] == 1 and table[c])
+    bare = sorted(c for c in kids if rank[c] == 1 and not table[c])
+    twos = sorted(c for c in kids if rank[c] == 2)
+    # per rank-2 child: its leaves less its childless rank-1 children and the
+    # leaf it keeps; a negative count is a deficit
+    spare = {z: sum(1 if rank[c] == 0 else -(not table[c]) for c in table[z]) - 1 for z in twos}
+    lacking = [z for z in twos if all(rank[c] == 0 for c in table[z])]
+    if not twos or len(full) + len(bare) <= len(lacking):
+        return None
+    kept = (full or bare).pop(0)  # the rank-1 child the root keeps
+    stay = [] if table[kept] else [kept]
+    grafted: dict[NodeId, list[NodeId]] = {z: [] for z in twos}
+    for z in sorted(lacking, key=lambda z: spare[z] > 0):
+        y = full.pop() if full else bare.pop()
+        grafted[z].append(y)
+        spare[z] -= not table[y]  # a childless one takes a leaf
+    for z in twos:
+        while bare and spare[z] > 0:
+            grafted[z].append(bare.pop())
+            spare[z] -= 1
+    stay += bare
+    if len(leaves) <= sum(max(-e, 0) for e in spare.values()) + len(stay):
+        return None
+    steps = [(leaves.pop(), y) for y in stay]
+    for z in twos:
+        grafted[z] += [leaves.pop() for _ in range(-spare[z])]
+        steps += [(y, z) for y in grafted[z]]
+    steps.sort(key=lambda step: (-rank[step[0]], step[0]))
+    for z in twos:
+        key = node_key(2, [st.keys[c] for c in table[z] + grafted[z]])
+        if key not in st.memo:
+            st.memo[key] = (z, grafted[z], _rank_two(st, table[z] + grafted[z]))
+        steps.extend(_memo_steps(st, key, z, grafted[z]))
+    return tuple(steps)
 
 
 def _best_surplus(classes: list[_Class], caps: list[int]) -> list[int]:
@@ -475,12 +534,7 @@ def _assign_targets(
     steps = [(y, x) for x, _, grafted in plan for y in grafted]
     steps.sort(key=lambda step: (-st.rank[step[0]], step[0]))
     for x, cls, grafted in plan:
-        origin, found, inner = st.memo[st.key(cls, grafted)]
-        if inner and (origin, found) != (x, grafted):
-            # an isomorphic twin: input ids -> canonical ids -> the twin's ids
-            move = dict(zip(_canonical_ids(st, origin, found), _canonical_ids(st, x, grafted)))
-            inner = [(move[a], move[b]) for a, b in inner]
-        steps.extend(inner)
+        steps.extend(_memo_steps(st, st.key(cls, grafted), x, grafted))
     return tuple(steps)
 
 
@@ -517,13 +571,24 @@ def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
     yield from (prefix for _, prefix in _depth_first(choose, n, (0, ())))
 
 
+def _memo_steps(st: _Search, key: bytes, x: NodeId, grafted: list[NodeId]):
+    """The memoized push steps of ``key`` for x with the grafted subtrees
+    below it.  Steps found at another node set, an isomorphic twin, are
+    translated: input ids -> canonical ids -> the twin's ids."""
+    origin, found, inner = st.memo[key]
+    if inner and (origin, found) != (x, grafted):
+        move = dict(zip(_canonical_ids(st, origin, found), _canonical_ids(st, x, grafted)))
+        inner = [(move[a], move[b]) for a, b in inner]
+    return inner
+
+
 def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId]:
     """Input-tree ids of x's enriched subtree, listed by canonical id.
 
     The enriched subtree is x with the grafted subtrees below it.  It is
-    materialized and canonicalized only when a plan entry reuses memoized
+    materialized and canonicalized only when :func:`_memo_steps` reuses
     push steps found at an isomorphic twin: the origin's list and the
-    entry's, zipped, translate the origin's steps to the entry's nodes.
+    twin's, zipped, translate the origin's steps to the twin's nodes.
     """
     nodes, parent = [x], [NO_PARENT]
     for i, y in enumerate(nodes):  # breadth-first: the list grows while it is walked
@@ -540,8 +605,8 @@ def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
     Memoized by canonical key, which the index gives without building the
     subtree.  On a miss the search runs on the input tree's own nodes, and
     a success is stored as found: x, the grafts and steps in input-tree
-    ids.  Nothing is canonicalized here; :func:`_assign_targets` translates
-    the steps only for a plan entry on another node set with the same key.
+    ids.  Nothing is canonicalized here; :func:`_memo_steps` translates the
+    steps only for a plan entry on another node set with the same key.
     """
     st.tick()
     key = st.key(cls, grafted)
@@ -699,15 +764,16 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     key and id, so the search effort does not depend on the labeling.
 
     ``budget`` caps the search effort in ticks, spent on keep levels and
-    vectors, splits and subtree decisions; a rank-2 subproblem is decided by
-    counting and costs only its decision tick.  A keep count that the
-    per-rank test rules out, with the classes before it booked and later
-    ones counting 0, is charged in one step what walking every keep vector
-    below it would cost: a tick per level entered and per vector.  Keep
-    counts the surplus cap rules out, and pull vectors below a rank's
-    floor or above its slack, are never searched and cost nothing.  When
-    the budget runs out the verdict is the inconclusive ``search-exhausted``;
-    without one the search always ends with a definite answer.
+    vectors, splits and subtree decisions; rank 3 or less is decided by
+    counting, so such a subproblem costs only its decision tick.  A keep
+    count that the per-rank test rules out, with the classes before it
+    booked and later ones counting 0, is charged in one step what walking
+    every keep vector below it would cost: a tick per level entered and per
+    vector.  Keep counts the surplus cap rules out, and pull vectors below
+    a rank's floor or above its slack, are never searched and cost nothing.
+    When the budget runs out the verdict is the inconclusive
+    ``search-exhausted``; without one the search always ends with a
+    definite answer.
     """
     validate(t).raise_if_invalid()
     if is_union_tree(t):

@@ -132,6 +132,29 @@ def random_rank_two_tree(rng, n):
     return RankedTree(tuple(parent), tuple(rank))
 
 
+# Root 0 (rank 3) over the rank-2 node 1 (over leaf 2), the rank-2 node 3
+# (over the rank-1 node 4 with leaf 5, and leaves 6 and 7), the childless
+# rank-1 nodes 8 and 9, and leaves 10 and 11.  The root keeps one of 8 and
+# 9 and node 1 takes the other, so each needs a root leaf: 3's spare leaf
+# never leaves 3.  With the leaf the root keeps that is three root leaves:
+# refuted by counting, with every root filter passed.  One more root leaf,
+# and it is accepted.
+POOLED_SPARE = RankedTree(
+    (-1, 0, 1, 0, 3, 4, 3, 3, 0, 0, 0, 0), (3, 2, 0, 2, 1, 0, 0, 0, 1, 1, 0, 0)
+)
+
+
+def random_rank_three_tree(rng, n):
+    """A rank-3 root over n - 1 nodes, each below the root or an earlier node
+    of positive rank, with a rank below its parent's."""
+    parent, rank = [-1], [3]
+    for _ in range(1, n):
+        p = rng.choice([0] + [x for x in range(1, len(rank)) if rank[x] > 0])
+        parent.append(p)
+        rank.append(rng.randrange(rank[p]))
+    return RankedTree(tuple(parent), tuple(rank))
+
+
 def largest_export(n, seed):
     """The largest tree exported from a seeded op log with 3n operations."""
     trees = [e.tree for e in export_trees(replay(random_oplog(n, 3 * n, seed)))]
@@ -146,9 +169,18 @@ def mutated_engine_tree(s):
     return t
 
 
-# sweep tree -> its smallest deciding budget; the test ids name the tree only
+# sweep tree -> its smallest deciding budget when rank 3 is backtracked;
+# the test ids name the tree only
 KEEP_CAP_SWEEP = {197: 8, 1070: 5, 1390: 5, 339: 5, 440: 5, 1088: 5, 1438: 15}
 PULL_FLOOR_SWEEP = {82: 6, 258: 8, 535: 9, 544: 5, 917: 20}
+
+
+@pytest.fixture
+def backtracked_rank_three(monkeypatch):
+    """Rank-3 subproblems backtracked instead of counted, so trees of rank 3
+    still exercise the keep stage, placement and the pull walk."""
+    backtrack = recognize._backtrack
+    monkeypatch.setattr(recognize, "_rank_three", lambda st, kids: backtrack(st, 3, kids))
 
 
 def assert_decided_at_its_budget_as_the_oracle_says(s, ticks):
@@ -353,47 +385,49 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 29),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 12),
             (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 6),
-            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 23),
+            (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 9),
             # the gadget tail probe: splits that overfill a basket are never
             # tried, and no keep vector keeps an apple
-            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 51),
-            (lambda: random_uf_tree(60, 0), 25),
-            (lambda: random_uf_tree(100, 0), 30),
+            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 20),
+            (lambda: random_uf_tree(60, 0), 21),
+            (lambda: random_uf_tree(100, 0), 26),
             # pull vectors below a rank's floor are never walked or ticked
-            (lambda: random_uf_tree(100, 1), 719),
-            (lambda: random_uf_tree(200, 4), 49),
-            (lambda: random_uf_tree(400, 1), 849),
-            (lambda: random_uf_tree(400, 2), 1925),
+            (lambda: random_uf_tree(100, 1), 384),
+            (lambda: random_uf_tree(200, 4), 41),
+            (lambda: random_uf_tree(400, 1), 834),
+            (lambda: random_uf_tree(400, 2), 1913),
             # most of its ticks are keep counts the per-rank test refutes
-            (lambda: random_uf_tree(400, 7), 1516),
+            (lambda: random_uf_tree(400, 7), 1496),
             # unsolvable: the search refutes it
-            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 56),
-            # free children that outrank no pushed class are no targets
-            (lambda: wide_tree(900), 5),
+            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 28),
+            # a rank-3 root: decided by counting, in the root's one tick
+            (lambda: wide_tree(900), 1),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 29),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 29),
-            (lambda: relabel(random_uf_tree(200, 4)), 49),
-            (lambda: relabel(random_uf_tree(200, 4), 3), 49),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 12),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 12),
+            (lambda: relabel(random_uf_tree(200, 4)), 41),
+            (lambda: relabel(random_uf_tree(200, 4), 3), 41),
             # refuted: candidates too small for their rank are never searched
             (lambda: SIZE_REFUTED, 13),
             # a free target pulled below an earlier target receives nothing
-            (lambda: random_uf_tree(200, 15), 272),
-            # the walk resumes past a free target left untouched
-            (lambda: RESUMED_PAST_FREE, 10),
+            (lambda: random_uf_tree(200, 15), 268),
+            # rank 3, so counted; the walk resumes past a free target left
+            # untouched when it is backtracked (see the corpora-miss test)
+            (lambda: RESUMED_PAST_FREE, 1),
             # a walk through every target that leaves a pushed child over
-            (lambda: LEFT_OVER, 13),
-            # rank 2 is decided by counting, in the root's one tick
+            (lambda: LEFT_OVER, 10),
+            # rank 2 and rank 3 are decided by counting, in the root's one tick
             (lambda: RANK_TWO_REFUTED, 1),
+            (lambda: POOLED_SPARE, 1),
         ],
         ids=[
             "flat-12344", "flat-114", "flat-33222", "flat-probe3", "uf60", "uf100",
             "uf100-s1", "uf200-s4", "uf400-s1", "uf400-s2", "uf400-s7", "flat-44519971",
             "wide-k900", "flat-12344-reversed", "flat-12344-shuffled", "uf200-s4-reversed",
             "uf200-s4-shuffled", "size-refuted", "uf200-s15", "resumed-past-free", "left-over",
-            "rank-two-refuted",
+            "rank-two-refuted", "rank-three-refuted",
         ],
     )
     def test_search_effort_is_pinned(self, build, ticks):
@@ -430,10 +464,10 @@ class TestRecognizer:
             answers.update(repr((inst.id, verdict.reason, steps)).encode())
         assert len(instances) == 71
         assert answers.hexdigest() == (
-            "252a093a0988115dfb10ba757585f4cd6d8c9241306d3a462317f9a0a125e8e7"
+            "9505bd7df63da28f7d9b634737c5d7df5360a4d6d80d9e79ba084c04fb4d5dc0"
         )
         assert digest.hexdigest() == (
-            "2e4da68bb9341a58646b2f9abadf1ca958ec938e06007df61b6504a3af70cc14"
+            "2ac77f98f0d07d3f941a675691c6cee56146462a2a0d446a5a7905621272abf4"
         )
 
     def test_a_decided_pull_vector_is_ticked_once(self, tmp_path, monkeypatch):
@@ -462,7 +496,7 @@ class TestRecognizer:
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
-        assert prefixes[0] == 7214
+        assert prefixes[0] == 6741
 
     def test_keep_walk_cost_is_pinned(self, tmp_path, monkeypatch):
         # keep levels entered over the 37 seed-0 engine-positives trees at
@@ -473,7 +507,7 @@ class TestRecognizer:
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
         assert len(instances) == 37
-        assert entered[0] == 443
+        assert entered[0] == 354
 
     def test_rank_two_subproblems_agree_with_the_oracle(self):
         # every rank-2 tree of 7 nodes, and seeded random ones of up to 10
@@ -515,6 +549,53 @@ class TestRecognizer:
         assert is_union_find_tree(t, budget=1).reason == REASON_SEARCH
         assert not brute_force_is_uf(t)
 
+    def test_rank_three_subproblems_agree_with_the_oracle(self):
+        # seeded random rank-3 trees of 8-13 nodes with their mutants;
+        # enumerate_trees stops at 7 nodes, below the smallest rank-3 tree
+        rng = random.Random(3)
+        reasons = collections.Counter()
+        for _ in range(1000):
+            t = random_rank_three_tree(rng, rng.randint(8, 13))
+            for u in (t, mutate(t, rng.randrange(1 << 30))):
+                verdict = is_union_find_tree(u)
+                assert verdict.accepted == brute_force_is_uf(u, max_nodes=13), (u.parent, u.rank)
+                if verdict.certificate is not None:
+                    assert check_certificate(u, verdict.certificate), (u.parent, u.rank)
+                reasons[verdict.reason] += 1
+        assert reasons[REASON_CERTIFICATE] > 0 and reasons[REASON_SEARCH] > 0
+
+    def test_spare_leaves_serve_only_their_own_rank_two_child(self):
+        # pooling every spare leaf would accept POOLED_SPARE
+        t = POOLED_SPARE
+        more = RankedTree(t.parent + (0,), t.rank + (0,))
+        assert (t.node_count, more.node_count) == (12, 13)
+        assert is_union_find_tree(t).reason == REASON_SEARCH
+        assert not brute_force_is_uf(t, max_nodes=13)
+        verdict = is_union_find_tree(more)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert check_certificate(more, verdict.certificate)
+        assert brute_force_is_uf(more, max_nodes=13)
+
+    def test_a_wide_rank_three_tree_is_decided_in_one_tick(self):
+        # a rank-3 root over a Union rank-2 node, k childless rank-1 nodes
+        # and k + 1 leaves; the generic search spent 99,997 ticks on it: per
+        # childless rank-1 child its split and its decided pull
+        k = 49_997
+        parent = (-1, 0, 1, 1, 3) + (0,) * (2 * k + 1)
+        t = RankedTree(parent, (3, 2, 0, 1, 0) + (1,) * k + (0,) * (k + 1))
+        assert t.node_count == 100_000
+        verdict = is_union_find_tree(t, budget=1)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert len(verdict.certificate) == 49_997
+        assert check_certificate(t, verdict.certificate)
+        assert is_union_find_tree(t, budget=0).reason == REASON_BUDGET
+
+    def test_a_rank_three_refutation_costs_the_root_tick(self):
+        t = POOLED_SPARE
+        assert count_filter(t) and t.node_count >= 1 << t.root_rank
+        assert satisfies_union_condition(t, t.root) and not is_union_tree(t)
+        assert is_union_find_tree(t, budget=1).reason == REASON_SEARCH
+
     def test_search_rejection_names_the_search(self):
         # the root passes every filter; a filter that fired in some abandoned
         # sub-branch explains nothing about the whole tree
@@ -522,11 +603,12 @@ class TestRecognizer:
         assert not verdict.accepted
         assert verdict.reason == REASON_SEARCH
 
-    def test_search_paths_the_corpora_miss_give_their_verdicts(self):
+    def test_search_paths_the_corpora_miss_give_their_verdicts(self, backtracked_rank_three):
         # the new cases of test_search_effort_is_pinned: a candidate the
         # size filter refutes, a free target pulled below an earlier one, a
-        # walk resumed past an untouched free target, and a walk that ends
-        # with a pushed child left over
+        # walk resumed past an untouched free target (at rank 3, so it is
+        # backtracked here), and a walk that ends with a pushed child left
+        # over
         assert is_union_find_tree(SIZE_REFUTED).reason == REASON_SEARCH
         assert is_union_find_tree(LEFT_OVER).reason == REASON_SEARCH
         verdict = is_union_find_tree(random_uf_tree(200, 15))
@@ -536,7 +618,9 @@ class TestRecognizer:
         assert not brute_force_is_uf(RESUMED_PAST_FREE, max_nodes=18)
 
     @pytest.mark.parametrize("n, s", [(31, 6019), (20, 48844)])
-    def test_same_rank_pulls_that_overdraw_the_root_together_are_skipped(self, n, s):
+    def test_same_rank_pulls_that_overdraw_the_root_together_are_skipped(
+        self, n, s, backtracked_rank_three
+    ):
         # two free classes of one rank can each fit that rank's slack yet
         # take its last root child together; the pull walk's ceiling on the
         # rank's sum never generates such a vector.  Without the ceiling both
@@ -547,7 +631,9 @@ class TestRecognizer:
             t = mutate(t, 7919 * s + k)
         assert is_union_find_tree(t).reason == REASON_SEARCH
 
-    def test_pulls_of_positive_rank_free_children_count_toward_the_surplus_pool(self):
+    def test_pulls_of_positive_rank_free_children_count_toward_the_surplus_pool(
+        self, backtracked_rank_three
+    ):
         # root 0 (rank 3) over leaf 1, the childless rank-1 node 2, rank-2
         # nodes 4 (over three leaves) and 9 (over one), and rank-1 nodes 6
         # and 11 (over two leaves each).  2 is pushed below 4, so the free
@@ -605,8 +691,10 @@ class TestRecognizer:
         ],
         ids=["accept", "reject", "needy-graft"],
     )
-    def test_a_needy_class_keeps_no_more_than_lower_ranks_can_repay(self, t, accepted, ticks):
-        # the budgets are the smallest that decide
+    def test_a_needy_class_keeps_no_more_than_lower_ranks_can_repay(
+        self, t, accepted, ticks, backtracked_rank_three
+    ):
+        # the budgets are the smallest that decide with rank 3 backtracked
         verdict = is_union_find_tree(t, budget=ticks)
         assert verdict.reason == (REASON_CERTIFICATE if accepted else REASON_SEARCH)
         assert brute_force_is_uf(t, max_nodes=18) == accepted
@@ -615,13 +703,13 @@ class TestRecognizer:
             assert check_certificate(t, verdict.certificate)
 
     @pytest.mark.parametrize("s", KEEP_CAP_SWEEP)
-    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s):
+    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s, backtracked_rank_three):
         # trees of the 1,500-tree oracle sweep on which the keep stage caps a
         # needy class below its size, at their smallest deciding budget
         assert_decided_at_its_budget_as_the_oracle_says(s, KEEP_CAP_SWEEP[s])
 
     @pytest.mark.parametrize("s", PULL_FLOOR_SWEEP)
-    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(self, s):
+    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(self, s, backtracked_rank_three):
         # trees of the 1,500-tree oracle sweep on which a rank's pull floor
         # of 2 or more cuts a vector that covers every missing rank, at
         # their smallest deciding budget
@@ -652,7 +740,7 @@ class TestRecognizer:
         nodes = record_canonical_forms(monkeypatch)
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
-        assert (len(nodes), sum(nodes)) == (76, 930)
+        assert (len(nodes), sum(nodes)) == (76, 886)
 
     def test_a_twin_reuses_the_steps_found_at_its_isomorphic_sibling(self, monkeypatch):
         # root 0 (rank 4) over Union children of ranks 0-2 and the
@@ -711,8 +799,10 @@ class TestRecognizer:
             assert verdict.accepted == brute_force_is_uf(t), (t.parent, t.rank)
 
     def test_oracle_agreement_on_mutated_engine_trees(self):
-        # engine trees of 10-18 nodes, each mutated three times: big enough
-        # for multi-class placement and pulls, small enough for the oracle
+        # engine trees of 10-18 nodes, each mutated three times, small enough
+        # for the oracle.  Their roots have rank 2 or 3, so they are decided
+        # by counting; the next test holds the backtracking to the counting
+        # on the same trees.
         negatives = 0
         for s in range(300):
             t = mutated_engine_tree(s)
@@ -722,6 +812,31 @@ class TestRecognizer:
                 assert check_certificate(t, verdict.certificate), s
             negatives += not verdict.accepted
         assert negatives >= 50
+
+    def test_rank_three_counting_agrees_with_the_backtracking(self, monkeypatch):
+        # every rank-3 subproblem of the previous test's trees, of random
+        # rank-3 trees of up to 40 nodes and of small engine trees, each
+        # also mutated, is decided both ways
+        decided = collections.Counter()
+        count = recognize._rank_three
+
+        def both(st, kids):
+            steps = count(st, kids)
+            assert (steps is None) == (recognize._backtrack(st, 3, kids) is None), kids
+            decided[steps is not None] += 1
+            return steps
+
+        monkeypatch.setattr(recognize, "_rank_three", both)
+        rng = random.Random(4)
+        trees = [random_rank_three_tree(rng, rng.randint(8, 40)) for _ in range(2000)]
+        trees += [random_uf_tree(n, s) for n in (40, 80) for s in range(20)]
+        trees += [mutate(t, s) for s, t in enumerate(trees)]
+        trees += [mutated_engine_tree(s) for s in range(300)]
+        for t in trees:
+            verdict = is_union_find_tree(t)
+            if verdict.certificate is not None:
+                assert check_certificate(t, verdict.certificate), (t.parent, t.rank)
+        assert decided[True] > 1000 and decided[False] > 1000
 
     @given(ranked_trees(max_nodes=8, max_extra_rank=1))
     @settings(max_examples=80, deadline=None)
