@@ -86,15 +86,20 @@ def satisfies_union_condition(t: RankedTree, x: NodeId) -> bool:
 
 
 def is_union_tree(t: RankedTree) -> bool:
-    """Linear check that every node satisfies the Union condition.
+    """Linear check that every node satisfies the Union condition."""
+    return _all_union(set(zip(t.parent, t.rank)), t.rank)
 
-    Assumes a valid tree, where children ranks already sit in 0..rank-1, so
-    a node has at most rank distinct child ranks and the condition holds
-    iff it has exactly rank of them.  Counted over every node at once: the
-    distinct (parent, rank) pairs, the root's pair among them, number the
-    rank sum plus one.
+
+def _all_union(pairs: set[tuple[int, int]], rank: tuple[int, ...]) -> bool:
+    """Whether the valid tree with these ranks and distinct (parent, rank)
+    pairs is a Union tree.
+
+    Children ranks already sit in 0..rank-1, so a node has at most rank
+    distinct child ranks and the condition holds iff it has exactly rank
+    of them.  Counted over every node at once: the pairs, the root's among
+    them, number the rank sum plus one.
     """
-    return len(set(zip(t.parent, t.rank))) == sum(t.rank) + 1
+    return len(pairs) == sum(rank) + 1
 
 
 def count_filter(t: RankedTree) -> bool:
@@ -109,6 +114,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# How a subproblem becomes a Union tree: the pushes at its root, then one
+# (key, node, grafts) part per child that is decided with the grafted
+# subtrees below it, whose own plan the memo holds under its canonical key.
+_Plan = tuple[list[tuple[NodeId, NodeId]], list[tuple[bytes, NodeId, list[NodeId]]]]
+
+
 class _Search:
     """Shared state of one recognition run, and its one index of the input tree.
 
@@ -117,15 +128,16 @@ class _Search:
     and leaves every subtree below them untouched.  So one child table,
     one set of subtree keys and one bottom-up pass of per-node facts
     (rank-0 surplus, size, Union flag of the subtree below each node)
-    serve every search node.
+    serve every search node.  ``pairs`` are the tree's distinct
+    (parent, rank) pairs, which the root's checks built.
     """
 
     __slots__ = ("memo", "budget", "rank", "table", "keys", "surplus", "size", "union")
 
-    def __init__(self, t: RankedTree, budget: int | None):
-        # canonical key -> (x, grafted, steps): the subproblem that found its
-        # push steps, which name its own input-tree nodes; None if not UF
-        self.memo: dict[bytes, tuple[NodeId, list[NodeId], tuple[tuple[int, int], ...]] | None] = {}
+    def __init__(self, t: RankedTree, budget: int | None, pairs: set[tuple[int, int]]):
+        # canonical key -> (x, grafted, plan): the subproblem that found its
+        # plan, which names its own input-tree nodes; None if not UF
+        self.memo: dict[bytes, tuple[NodeId, list[NodeId], _Plan] | None] = {}
         self.budget = budget
         self.rank = t.rank
         self.table = t.child_table()
@@ -133,9 +145,9 @@ class _Search:
         parent = t.parent
         surplus, size = [1 if r == 0 else -1 for r in t.rank], [1] * t.node_count
         # a node's own Union condition: as many distinct child ranks as its
-        # rank (is_union_tree); the root's pair lands on the spare last slot
+        # rank (_all_union); the root's pair lands on the spare last slot
         distinct = [0] * (t.node_count + 1)
-        for p, _ in set(zip(parent, t.rank)):
+        for p, _ in pairs:
             distinct[p] += 1
         union = [d == r for d, r in zip(distinct, t.rank)]
         # ranks strictly decrease downward, so this order is bottom-up; the
@@ -191,8 +203,8 @@ def _depth_first(stage, depth: int, state=None):
             stack.pop()
 
 
-def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
-    """Push steps, in input-tree ids, that make a rank over kids a Union tree.
+def _search(st: _Search, rank: int, kids: list[NodeId]) -> _Plan | None:
+    """A plan, in input-tree ids, that makes a rank over kids a Union tree.
 
     The subproblem is a root of the given rank whose children are the
     input-tree nodes ``kids``, each with its subtree from the input tree.
@@ -207,7 +219,7 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int]
     return _backtrack(st, rank, kids)
 
 
-def _backtrack(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+def _backtrack(st: _Search, rank: int, kids: list[NodeId]) -> _Plan | None:
     """:func:`_search` by backtracking, at any rank from 3 up."""
     # Split the depth-one children into isomorphism classes and sort the
     # classes into needy (their standalone subtree is not a Union tree, so
@@ -250,13 +262,13 @@ def _backtrack(st: _Search, rank: int, kids: list[NodeId]) -> tuple[tuple[int, i
         st.tick()
         # slack[r]: pulls rank r can still lose while keeping one child at root
         slack = [kept_per_rank[r] + free_per_rank[r] - 1 for r in range(rank)]
-        steps = _assign_targets(st, classes, needy, free, slack)
-        if steps is not None:
-            return steps
+        plan = _assign_targets(st, classes, needy, free, slack)
+        if plan is not None:
+            return plan
     return None
 
 
-def _rank_two(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+def _rank_two(st: _Search, kids: list[NodeId]) -> _Plan | None:
     """:func:`_search` at rank 2: the only push there moves a depth-one leaf
     below a rank-1 sibling, once, so each childless rank-1 child takes a
     leaf, the root keeps one, and, as in the search, the last leaves go."""
@@ -264,10 +276,10 @@ def _rank_two(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | 
     leaves = sorted(c for c in kids if st.rank[c] == 1 and not st.table[c])
     if len(zeros) <= len(leaves) or len(zeros) == len(kids):  # or no rank-1 child
         return None
-    return tuple(sorted(zip(reversed(zeros), leaves)))
+    return list(zip(reversed(zeros), leaves)), []
 
 
-def _rank_three(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] | None:
+def _rank_three(st: _Search, kids: list[NodeId]) -> _Plan | None:
     """:func:`_search` at rank 3.  Nothing outranks a rank-2 child, so each
     stays, and ends as :func:`_rank_two` pairs what lies below it: it needs
     a rank-1 child, and a leaf for each childless one plus one it keeps.
@@ -278,7 +290,7 @@ def _rank_three(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] 
     child.  Root leaves cover every deficit and each childless rank-1 child
     still at the root, and the root keeps one.  Pushes at the root come
     first, then the pairings below each rank-2 child, memoized as a
-    searched subproblem's steps are.
+    searched subproblem's plan is.
     """
     table, rank = st.table, st.rank
     leaves = sorted(c for c in kids if rank[c] == 0)
@@ -305,24 +317,23 @@ def _rank_three(st: _Search, kids: list[NodeId]) -> tuple[tuple[int, int], ...] 
     stay += bare
     if len(leaves) <= sum(max(-e, 0) for e in spare.values()) + len(stay):
         return None
-    steps = [(leaves.pop(), y) for y in stay]
+    pushes, parts = [(leaves.pop(), y) for y in stay], []
     for z in twos:
         grafted[z] += [leaves.pop() for _ in range(-spare[z])]
-        steps += [(y, z) for y in grafted[z]]
-    steps.sort(key=lambda step: (-rank[step[0]], step[0]))
-    for z in twos:
+        pushes += [(y, z) for y in grafted[z]]
         key = node_key(2, [st.keys[c] for c in table[z] + grafted[z]])
         if key not in st.memo:
             st.memo[key] = (z, grafted[z], _rank_two(st, table[z] + grafted[z]))
-        steps.extend(_memo_steps(st, key, z, grafted[z]))
-    return tuple(steps)
+        parts.append((key, z, grafted[z]))
+    return pushes, parts
 
 
 def _best_surplus(classes: list[_Class], caps: list[int]) -> list[int]:
-    """Per rank r, the most rank-0 surplus that ``caps[r]`` members of rank r carry."""
+    """Per rank r, the most rank-0 surplus that ``caps[r]`` unpulled members
+    of rank r carry."""
     best, room = [0] * len(caps), caps[:]
     for cls in sorted(classes, key=lambda cls: -cls.surplus):
-        take = min(len(cls.members), room[cls.rank])
+        take = min(len(cls.members) - cls.pulled, room[cls.rank])
         room[cls.rank] -= take
         best[cls.rank] += take * max(cls.surplus, 0)
     return best
@@ -436,7 +447,7 @@ class _Class:
 
 def _assign_targets(
     st: _Search, classes: list[_Class], needy: list[_Class], free: list[_Class], slack: list[int]
-) -> tuple[tuple[int, int], ...] | None:
+) -> _Plan | None:
     """Distribute pushed children and on-demand free pulls over the targets.
 
     Targets are the kept needy children and the free children that outrank
@@ -492,13 +503,9 @@ def _assign_targets(
             range(remaining[j] if next_rank <= pushed[j][0].rank else 0, remaining[j] + 1)
             for j in eligible
         ]
-        # free pulls add between 0 and reach to the grafts' surplus, and the
-        # way must end between 0 and the pool
-        reach = sum(
-            (len(other.members) - other.pulled) * other.surplus
-            for other in free
-            if other.rank < cls.rank
-        )
+        # free pulls add between 0 and reach to the grafts' surplus, at most
+        # slack[r] of rank r, and the way must end between 0 and the pool
+        reach = sum(_best_surplus([other for other in free if other.rank < cls.rank], slack))
         weights = [pushed[j][0].surplus for j in eligible]
         for counts in _splits(split_ranges, weights, -reach - cls.surplus, pool - cls.surplus):
             st.tick()
@@ -531,11 +538,8 @@ def _assign_targets(
     else:
         return None
 
-    steps = [(y, x) for x, _, grafted in plan for y in grafted]
-    steps.sort(key=lambda step: (-st.rank[step[0]], step[0]))
-    for x, cls, grafted in plan:
-        steps.extend(_memo_steps(st, st.key(cls, grafted), x, grafted))
-    return tuple(steps)
+    pushes = [(y, x) for x, _, grafted in plan for y in grafted]
+    return pushes, [(st.key(cls, grafted), x, grafted) for x, cls, grafted in plan]
 
 
 def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
@@ -571,23 +575,35 @@ def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
     yield from (prefix for _, prefix in _depth_first(choose, n, (0, ())))
 
 
-def _memo_steps(st: _Search, key: bytes, x: NodeId, grafted: list[NodeId]):
-    """The memoized push steps of ``key`` for x with the grafted subtrees
-    below it.  Steps found at another node set, an isomorphic twin, are
-    translated: input ids -> canonical ids -> the twin's ids."""
-    origin, found, inner = st.memo[key]
-    if inner and (origin, found) != (x, grafted):
-        move = dict(zip(_canonical_ids(st, origin, found), _canonical_ids(st, x, grafted)))
-        inner = [(move[a], move[b]) for a, b in inner]
-    return inner
+def _steps(st: _Search, plan: _Plan, built: dict[bytes, list]) -> list[tuple[NodeId, NodeId]]:
+    """The push steps of a plan, in input-tree ids: its pushes by (-rank,
+    id), then each part's steps in turn.
+
+    A part's steps are those of the plan memoized under its key, built
+    once per key into ``built``.  Steps found at another node set, an
+    isomorphic twin, are translated: input ids -> canonical ids -> the
+    twin's ids.
+    """
+    pushes, parts = plan
+    steps = sorted(pushes, key=lambda step: (-st.rank[step[0]], step[0]))
+    for key, x, grafted in parts:
+        origin, found, inner = st.memo[key]
+        if key not in built:
+            built[key] = _steps(st, inner, built)
+        inner = built[key]
+        if inner and (origin, found) != (x, grafted):
+            move = dict(zip(_canonical_ids(st, origin, found), _canonical_ids(st, x, grafted)))
+            inner = [(move[a], move[b]) for a, b in inner]
+        steps += inner
+    return steps
 
 
 def _canonical_ids(st: _Search, x: NodeId, grafted: list[NodeId]) -> list[NodeId]:
     """Input-tree ids of x's enriched subtree, listed by canonical id.
 
     The enriched subtree is x with the grafted subtrees below it.  It is
-    materialized and canonicalized only when :func:`_memo_steps` reuses
-    push steps found at an isomorphic twin: the origin's list and the
+    materialized and canonicalized only when :func:`_steps` reuses push
+    steps found at an isomorphic twin: the origin's list and the
     twin's, zipped, translate the origin's steps to the twin's nodes.
     """
     nodes, parent = [x], [NO_PARENT]
@@ -604,9 +620,9 @@ def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
 
     Memoized by canonical key, which the index gives without building the
     subtree.  On a miss the search runs on the input tree's own nodes, and
-    a success is stored as found: x, the grafts and steps in input-tree
-    ids.  Nothing is canonicalized here; :func:`_memo_steps` translates the
-    steps only for a plan entry on another node set with the same key.
+    a success is stored as found: x, the grafts and the plan in input-tree
+    ids.  No steps are built here; :func:`_steps` builds them from the
+    winning plan.
     """
     st.tick()
     key = st.key(cls, grafted)
@@ -617,12 +633,12 @@ def _decide(st: _Search, x: NodeId, cls: _Class, grafted: list[NodeId]) -> bool:
         # has every lower rank among its children: it is a Union tree iff
         # every child's subtree is, and of the filters only its size can fail.
         if all(st.union[c] for c in kids):
-            steps = ()
+            plan = [], []
         elif 1 + sum(st.size[c] for c in kids) < 1 << cls.rank:
-            steps = None
+            plan = None
         else:
-            steps = _search(st, cls.rank, kids)
-        st.memo[key] = None if steps is None else (x, grafted, steps)
+            plan = _search(st, cls.rank, kids)
+        st.memo[key] = None if plan is None else (x, grafted, plan)
     return st.memo[key] is not None
 
 
@@ -761,7 +777,9 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     index of the tree serves the whole search: every candidate subtree is
     a rank over input-tree nodes, memoized by canonical key and searched
     unless its Union flag or size decides it.  Targets are tried by rank,
-    key and id, so the search effort does not depend on the labeling.
+    key and id, so the search effort does not depend on the labeling.  The
+    search keeps plans, not steps; the certificate is assembled once, from
+    the winning plan.
 
     ``budget`` caps the search effort in ticks, spent on keep levels and
     vectors, splits and subtree decisions; rank 3 or less is decided by
@@ -769,14 +787,16 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     count that the per-rank test rules out, with the classes before it
     booked and later ones counting 0, is charged in one step what walking
     every keep vector below it would cost: a tick per level entered and per
-    vector.  Keep counts the surplus cap rules out, and pull vectors below
-    a rank's floor or above its slack, are never searched and cost nothing.
+    vector.  Keep counts the surplus cap rules out, pull vectors below a
+    rank's floor or above its slack, and splits whose rank-0 deficit no
+    such vector covers are never searched and cost nothing.
     When the budget runs out the verdict is the inconclusive
     ``search-exhausted``; without one the search always ends with a
     definite answer.
     """
     validate(t).raise_if_invalid()
-    if is_union_tree(t):
+    pairs = set(zip(t.parent, t.rank))
+    if _all_union(pairs, t.rank):
         return Verdict(True, REASON_UNION_TREE)
     # Every Union-Find tree passes the count filter, has at least 2^rank
     # nodes below a root of that rank, and keeps every lower rank among the
@@ -786,18 +806,18 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
         return Verdict(False, REASON_COUNT_FILTER)
     if t.node_count < 1 << t.rank[root]:
         return Verdict(False, REASON_RANK_RANGE)
-    if not satisfies_union_condition(t, root):
+    if not all((root, r) in pairs for r in range(t.rank[root])):
         return Verdict(False, REASON_MISSING_RANK)
 
-    st = _Search(t, budget)
+    st = _Search(t, budget, pairs)
     try:
         st.tick()
-        steps = _search(st, t.rank[root], st.table[root])
+        plan = _search(st, t.rank[root], st.table[root])
     except _BudgetExhausted:
         return Verdict(False, REASON_BUDGET)
-    if steps is None:
+    if plan is None:
         return Verdict(False, REASON_SEARCH)
-    return Verdict(True, REASON_CERTIFICATE, Certificate(steps))
+    return Verdict(True, REASON_CERTIFICATE, Certificate(tuple(_steps(st, plan, {}))))
 
 
 def brute_force_is_uf(t: RankedTree, max_nodes: int = ORACLE_NODE_CAP) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import lt
 
@@ -43,6 +44,11 @@ class RankedTree:
             raise ValueError("parent and rank arrays must have equal length")
         if not self.parent:
             raise ValueError("a tree has at least one node")
+
+    @cached_property
+    def _validity(self) -> ValidationResult:
+        # the arrays never change, so neither does validity: one check per tree
+        return _invariants(self)
 
     @property
     def node_count(self) -> int:
@@ -146,8 +152,14 @@ def validate(t: RankedTree) -> ValidationResult:
     Accepts iff there is exactly one root, every parent pointer is in range,
     parent chains are acyclic, and ranks are nonnegative, capped, and
     strictly decreasing from parent to child.  Rejections carry the first
-    violated invariant and the offending node.
+    violated invariant and the offending node.  The result is kept on t,
+    so validating the same tree again costs nothing.
     """
+    return t._validity
+
+
+def _invariants(t: RankedTree) -> ValidationResult:
+    """:func:`validate`, computed."""
     n = t.node_count
     parent, rank = t.parent, t.rank
     # Whole-array passes accept every valid tree.  Ranks strictly rise along

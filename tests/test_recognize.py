@@ -29,8 +29,8 @@ from support import (
     union_trees_upto,
     wide_tree,
 )
-from uftree import recognize
-from uftree.errors import CapExceeded
+from uftree import recognize, tree
+from uftree.errors import CapExceeded, InvalidTreeError
 from uftree.forest import (
     enumerate_trees,
     export_trees,
@@ -71,7 +71,9 @@ from uftree.tree import (
     collapse,
     merge,
     node_key,
+    parse_tree,
     push,
+    serialize_tree,
     singleton,
     subtree,
     subtree_keys,
@@ -171,8 +173,8 @@ def mutated_engine_tree(s):
 
 # sweep tree -> its smallest deciding budget when rank 3 is backtracked;
 # the test ids name the tree only
-KEEP_CAP_SWEEP = {197: 8, 1070: 5, 1390: 5, 339: 5, 440: 5, 1088: 5, 1438: 15}
-PULL_FLOOR_SWEEP = {82: 6, 258: 8, 535: 9, 544: 5, 917: 20}
+KEEP_CAP_SWEEP = {197: 8, 1070: 5, 1390: 5, 339: 5, 440: 5, 1088: 5, 1438: 13}
+PULL_FLOOR_SWEEP = {82: 6, 258: 8, 535: 8, 544: 5, 917: 18}
 
 
 @pytest.fixture
@@ -375,7 +377,7 @@ class TestRecognizer:
     @given(ranked_trees(max_nodes=9))
     @settings(max_examples=80, deadline=None)
     def test_index_facts_match_the_subtrees(self, t):
-        st = _Search(t, None)
+        st = _Search(t, None, set(zip(t.parent, t.rank)))
         for x in range(t.node_count):
             sub, _ = subtree(t, x)
             assert st.surplus[x] == 2 * sub.rank.count(0) - sub.node_count
@@ -385,12 +387,12 @@ class TestRecognizer:
     @pytest.mark.parametrize(
         "build, ticks",
         [
-            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 12),
-            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 6),
+            (lambda: make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 11),
+            (lambda: make_flat_tree(parse_instance("1,1,4;2")).tree, 5),
             (lambda: make_flat_tree(parse_instance("3,3,2,2,2;2")).tree, 9),
             # the gadget tail probe: splits that overfill a basket are never
             # tried, and no keep vector keeps an apple
-            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 20),
+            (lambda: make_flat_tree(parse_instance("9,8,7,6,5,4,3,2,2,2;3")).tree, 17),
             (lambda: random_uf_tree(60, 0), 21),
             (lambda: random_uf_tree(100, 0), 26),
             # pull vectors below a rank's floor are never walked or ticked
@@ -401,12 +403,12 @@ class TestRecognizer:
             # most of its ticks are keep counts the per-rank test refutes
             (lambda: random_uf_tree(400, 7), 1496),
             # unsolvable: the search refutes it
-            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 28),
+            (lambda: make_flat_tree(parse_instance("4,4,5,1,9,9,7,1;4")).tree, 20),
             # a rank-3 root: decided by counting, in the root's one tick
             (lambda: wide_tree(900), 1),
             # the same effort under any labeling of the same trees
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 12),
-            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 12),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree), 11),
+            (lambda: relabel(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree, 3), 11),
             (lambda: relabel(random_uf_tree(200, 4)), 41),
             (lambda: relabel(random_uf_tree(200, 4), 3), 41),
             # refuted: candidates too small for their rank are never searched
@@ -467,7 +469,7 @@ class TestRecognizer:
             "9505bd7df63da28f7d9b634737c5d7df5360a4d6d80d9e79ba084c04fb4d5dc0"
         )
         assert digest.hexdigest() == (
-            "2ac77f98f0d07d3f941a675691c6cee56146462a2a0d446a5a7905621272abf4"
+            "b082864637ce4f9ca3647ccb09b1ff9cfd2ce8bf534e8c48b34ea49e6381acd4"
         )
 
     def test_a_decided_pull_vector_is_ticked_once(self, tmp_path, monkeypatch):
@@ -733,14 +735,16 @@ class TestRecognizer:
 
     def test_benchmark_corpora_canonicalize_as_pinned(self, tmp_path, monkeypatch):
         # canonical_form calls and nodes over the 71 seed-0 benchmark
-        # instances at budget 20,000: only a plan entry that reuses the steps
-        # of an isomorphic twin is canonicalized, once per side.  Storing
-        # every success in canonical ids took 759 calls over 13,432 nodes.
+        # instances at budget 20,000: only a part of the winning plan that
+        # reuses the steps of an isomorphic twin is canonicalized, once per
+        # side.  Storing every success in canonical ids took 759 calls over
+        # 13,432 nodes, and translating the steps of every success, winning
+        # or not, 76 over 886.
         instances = benchmark_corpus(tmp_path, monkeypatch)
         nodes = record_canonical_forms(monkeypatch)
         for inst in instances:
             is_union_find_tree(inst.tree, budget=20_000)
-        assert (len(nodes), sum(nodes)) == (76, 886)
+        assert (len(nodes), sum(nodes)) == (54, 762)
 
     def test_a_twin_reuses_the_steps_found_at_its_isomorphic_sibling(self, monkeypatch):
         # root 0 (rank 4) over Union children of ranks 0-2 and the
@@ -764,6 +768,24 @@ class TestRecognizer:
         assert check_certificate(t, verdict.certificate)
         assert translated == [8, 16]  # the origin, then its twin
 
+    def test_a_twin_plan_is_built_once_per_key(self, monkeypatch):
+        # root 0 (rank 4) over the isomorphic rank-3 nodes 8 and 22 and Union
+        # children of ranks 0-2.  Below each rank-3 node, two rank-2 nodes
+        # over three leaves each take a childless rank-1 sibling and push a
+        # leaf below it, so the second rank-2 node is a twin of the first,
+        # and 22 a twin of 8.  Building 8's plan once for both sides takes
+        # four canonicalizations; building it again for 22 took six.
+        leaf = binomial(0)
+        x = (3, [(2, [leaf] * 3), (2, [leaf] * 3), (1, []), (1, []), (1, [leaf]), leaf])
+        t = from_spec((4, [x, x, binomial(2), binomial(1), leaf]))
+        nodes = record_canonical_forms(monkeypatch)
+        verdict = is_union_find_tree(t)
+        assert verdict.certificate.steps == (
+            (12, 18), (13, 14), (17, 13), (21, 12), (26, 32), (27, 28), (31, 27), (35, 26)
+        )
+        assert check_certificate(t, verdict.certificate)
+        assert nodes == [5, 5, 14, 14]
+
     def test_pulls_are_decided_without_materializing_the_full_pull(self, monkeypatch):
         # probing the all-available pull first canonicalized 11,870 nodes here
         nodes = record_canonical_forms(monkeypatch)
@@ -784,6 +806,35 @@ class TestRecognizer:
     def test_rejects_invalid_tree(self):
         with pytest.raises(ValueError):
             is_union_find_tree(RankedTree((-1, 0), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            is_union_find_tree,
+            lambda t: check_certificate(t, Certificate(())),
+            brute_force_is_uf,
+            lambda t: mutate(t, 0),
+        ],
+        ids=["recognize", "replay", "oracle", "mutate"],
+    )
+    def test_a_new_invalid_tree_raises_every_time(self, call):
+        # nodes 1 and 2 are each other's parent: a cycle the Union count misses
+        t = RankedTree((-1, 2, 1), (3, 1, 1))
+        for _ in range(2):  # the kept result raises as the first check did
+            with pytest.raises(InvalidTreeError, match="cyclic-parent-chain"):
+                call(t)
+
+    def test_a_parsed_tree_is_validated_once(self, monkeypatch):
+        # parse_tree, recognition and replay share the validity kept on the
+        # tree; each used to run the whole-array passes again
+        passes = []
+        invariants = tree._invariants
+        monkeypatch.setattr(tree, "_invariants", lambda t: passes.append(t) or invariants(t))
+        t = parse_tree(serialize_tree(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree))
+        verdict = is_union_find_tree(t)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert check_certificate(t, verdict.certificate)
+        assert passes == [t]
 
     def test_budget_exhaustion_is_inconclusive(self):
         t = random_uf_tree(40, seed=11, collapse_prob=0.5)
@@ -812,6 +863,33 @@ class TestRecognizer:
                 assert check_certificate(t, verdict.certificate), s
             negatives += not verdict.accepted
         assert negatives >= 50
+
+    def test_root_reasons_follow_the_per_node_checks(self):
+        # every tree of up to 7 nodes and every tree of the 1,500-tree oracle
+        # sweep: the one pair set gives the Union test and the missing-rank
+        # filter the answers of the per-node Union condition, in the old
+        # order of the root filters; the oracle settles the small searches
+        trees = list(enumerate_trees(7))
+        trees += [mutated_engine_tree(s) for s in range(1500)]
+        reasons = collections.Counter()
+        for t in trees:
+            root = t.root
+            if all(satisfies_union_condition(t, x) for x in range(t.node_count)):
+                expected = {REASON_UNION_TREE}
+            elif not count_filter(t):
+                expected = {REASON_COUNT_FILTER}
+            elif t.node_count < 1 << t.rank[root]:
+                expected = {REASON_RANK_RANGE}
+            elif not satisfies_union_condition(t, root):
+                expected = {REASON_MISSING_RANK}
+            elif t.node_count <= 10:
+                expected = {REASON_CERTIFICATE if brute_force_is_uf(t) else REASON_SEARCH}
+            else:
+                expected = {REASON_CERTIFICATE, REASON_SEARCH}
+            reason = is_union_find_tree(t).reason
+            assert reason in expected, (t.parent, t.rank)
+            reasons[reason] += 1
+        assert min(reasons.values()) > 0 and len(reasons) == 6, reasons
 
     def test_rank_three_counting_agrees_with_the_backtracking(self, monkeypatch):
         # every rank-3 subproblem of the previous test's trees, of random
@@ -1018,7 +1096,7 @@ class TestSplits:
 
 
 def small_search(budget):
-    return _Search(RankedTree((-1, 0), (1, 0)), budget)
+    return _Search(RankedTree((-1, 0), (1, 0)), budget, {(-1, 1), (0, 0)})
 
 
 class TestBudget:
