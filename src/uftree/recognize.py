@@ -7,11 +7,11 @@ compressions; equivalently, it can be transformed into a Union tree by a
 sequence of pushes.  Union trees are recognized in linear time; Union-Find
 recognition is NP-complete, so :func:`is_union_find_tree` runs an exact
 memoized backtracking search and, on acceptance, returns a replayable push
-certificate.  A subproblem of rank 3 or less is decided by counting; every
-level of the backtracking above runs on one explicit-stack walk,
-:func:`_depth_first`, so Python frames nest once per rank, not per child
-or class.  :func:`brute_force_is_uf` is an independent oracle for
-desk-scale cross-checks.
+certificate.  A subproblem of rank 3 or less is decided by one counting
+rule, :func:`_by_counting`; every level of the backtracking above runs on
+one explicit-stack walk, :func:`_depth_first`, so Python frames nest once
+per rank, not per child or class.  :func:`brute_force_is_uf` is an
+independent oracle for desk-scale cross-checks.
 """
 
 from __future__ import annotations
@@ -210,13 +210,10 @@ def _search(st: _Search, rank: int, kids: list[NodeId]) -> _Plan | None:
     input-tree nodes ``kids``, each with its subtree from the input tree.
     Returns None if no push sequence exists.  The caller has ruled out a
     Union tree and every structural filter.  Rank 3 or less is decided by
-    counting; only a higher rank is searched, by :func:`_backtrack`.
+    counting, rank 2 as rank 3 without a rank-2 child (:func:`_by_counting`);
+    only a higher rank is searched, by :func:`_backtrack`.
     """
-    if rank == 2:
-        return _rank_two(st, kids)
-    if rank == 3:
-        return _rank_three(st, kids)
-    return _backtrack(st, rank, kids)
+    return _by_counting(st, kids) if rank <= 3 else _backtrack(st, rank, kids)
 
 
 def _backtrack(st: _Search, rank: int, kids: list[NodeId]) -> _Plan | None:
@@ -268,40 +265,34 @@ def _backtrack(st: _Search, rank: int, kids: list[NodeId]) -> _Plan | None:
     return None
 
 
-def _rank_two(st: _Search, kids: list[NodeId]) -> _Plan | None:
-    """:func:`_search` at rank 2: the only push there moves a depth-one leaf
-    below a rank-1 sibling, once, so each childless rank-1 child takes a
-    leaf, the root keeps one, and, as in the search, the last leaves go."""
-    zeros = sorted(c for c in kids if st.rank[c] == 0)
-    leaves = sorted(c for c in kids if st.rank[c] == 1 and not st.table[c])
-    if len(zeros) <= len(leaves) or len(zeros) == len(kids):  # or no rank-1 child
-        return None
-    return list(zip(reversed(zeros), leaves)), []
-
-
-def _rank_three(st: _Search, kids: list[NodeId]) -> _Plan | None:
-    """:func:`_search` at rank 3.  Nothing outranks a rank-2 child, so each
-    stays, and ends as :func:`_rank_two` pairs what lies below it: it needs
-    a rank-1 child, and a leaf for each childless one plus one it keeps.
-    The root keeps a rank-1 child, one with children if it can.  Rank-2
-    children that lack rank 1 take the other rank-1 children with children
-    first, those without spare leaves before the rest.  The childless
-    rank-1 children left fill spare leaves, which never leave their rank-2
-    child.  Root leaves cover every deficit and each childless rank-1 child
-    still at the root, and the root keeps one.  Pushes at the root come
-    first, then the pairings below each rank-2 child, memoized as a
-    searched subproblem's plan is.
+def _by_counting(st: _Search, kids: list[NodeId]) -> _Plan | None:
+    """:func:`_search` at rank 3, and at rank 2 as rank 3 without a rank-2
+    child.  Nothing outranks a rank-2 child, so each stays, and ends as a
+    rank-2 subproblem, which this rule pairs in turn: it needs a rank-1
+    child, and a leaf for each childless one plus one it keeps.  The root
+    keeps a rank-1 child, one with children if it can.  Rank-2 children
+    that lack rank 1 take the other rank-1 children with children first,
+    those without spare leaves before the rest.  The childless rank-1
+    children left fill spare leaves, which never leave their rank-2 child.
+    Root leaves cover every deficit and each childless rank-1 child still
+    at the root, the last leaves first, and the root keeps one.  Pushes at
+    the root come first, then the pairings below each rank-2 child,
+    memoized as a searched subproblem's plan is.
     """
     table, rank = st.table, st.rank
-    leaves = sorted(c for c in kids if rank[c] == 0)
-    full = sorted(c for c in kids if rank[c] == 1 and table[c])
-    bare = sorted(c for c in kids if rank[c] == 1 and not table[c])
-    twos = sorted(c for c in kids if rank[c] == 2)
+    # by kind, in id order: leaves, rank-1 children with children (full) and
+    # without (bare), and rank-2 children
+    leaves, full, bare, twos = [], [], [], []
+    for c in sorted(kids):
+        if rank[c] == 1:
+            (full if table[c] else bare).append(c)
+        else:
+            (twos if rank[c] else leaves).append(c)
     # per rank-2 child: its leaves less its childless rank-1 children and the
     # leaf it keeps; a negative count is a deficit
     spare = {z: sum(1 if rank[c] == 0 else -(not table[c]) for c in table[z]) - 1 for z in twos}
     lacking = [z for z in twos if all(rank[c] == 0 for c in table[z])]
-    if not twos or len(full) + len(bare) <= len(lacking):
+    if len(full) + len(bare) <= len(lacking):
         return None
     kept = (full or bare).pop(0)  # the rank-1 child the root keeps
     stay = [] if table[kept] else [kept]
@@ -323,7 +314,7 @@ def _rank_three(st: _Search, kids: list[NodeId]) -> _Plan | None:
         pushes += [(y, z) for y in grafted[z]]
         key = node_key(2, [st.keys[c] for c in table[z] + grafted[z]])
         if key not in st.memo:
-            st.memo[key] = (z, grafted[z], _rank_two(st, table[z] + grafted[z]))
+            st.memo[key] = (z, grafted[z], _by_counting(st, table[z] + grafted[z]))
         parts.append((key, z, grafted[z]))
     return pushes, parts
 
@@ -358,9 +349,8 @@ def _keep_choices(st: _Search, rank: int, needy: list[_Class], per_rank, free_pe
     # members miss each rank
     kept_per_rank, demand = [0] * rank, [0] * rank
     # cost[i][covered]: ticks from entering level i to leaving it, where
-    # covered says an earlier class of needy[i]'s rank keeps a member; the
-    # inner levels are filled on the first refutation that needs them
-    cost: list[tuple[int, int] | None] = [None] * n + [(1, 1)]
+    # covered says an earlier class of needy[i]'s rank keeps a member
+    cost = [(1, 1)] * (n + 1)
     later_same_rank = [a.rank == b.rank for a, b in zip(needy, needy[1:])] + [False]
 
     def counts(i: int, covered: bool) -> range:
@@ -385,6 +375,9 @@ def _keep_choices(st: _Search, rank: int, needy: list[_Class], per_rank, free_pe
             return (len(ks) - zero) * cost[i + 1][True] + zero * cost[i + 1][covered]
         return len(ks) * cost[i + 1][False]
 
+    for i in range(n - 1, -1, -1):
+        cost[i] = tuple(1 + below(i, covered, counts(i, covered)) for covered in (False, True))
+
     def keep(i: int, _):
         st.tick()
         cls = needy[i]
@@ -393,11 +386,7 @@ def _keep_choices(st: _Search, rank: int, needy: list[_Class], per_rank, free_pe
         # the classes before i are booked and later ones count 0, so a count
         # this refutes is refuted under every booking of the later classes
         passing = _supplied(cls, ks, per_rank, kept_per_rank, demand)
-        if len(passing) < len(ks):
-            if cost[i + 1] is None:
-                for j in range(n - 1, -1, -1):
-                    cost[j] = tuple(1 + below(j, c, counts(j, c)) for c in (False, True))
-            st.tick(below(i, covered, ks[: len(ks) - len(passing)]))
+        st.tick(below(i, covered, ks[: len(ks) - len(passing)]))
         for k in passing:
             cls.kept = k
             kept_per_rank[cls.rank] += k
@@ -782,8 +771,8 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     the winning plan.
 
     ``budget`` caps the search effort in ticks, spent on keep levels and
-    vectors, splits and subtree decisions; rank 3 or less is decided by
-    counting, so such a subproblem costs only its decision tick.  A keep
+    vectors, splits and subtree decisions; rank 3 or less is decided by one
+    counting rule, so such a subproblem costs only its decision tick.  A keep
     count that the per-rank test rules out, with the classes before it
     booked and later ones counting 0, is charged in one step what walking
     every keep vector below it would cost: a tick per level entered and per

@@ -443,6 +443,18 @@ def reference_keep_walk(rank: int, classes: list, per_rank, free_per_rank, gain)
     return passing, ticks
 
 
+def reference_rank_two(st, kids: list) -> tuple | None:
+    """The plan of a rank-2 subproblem over ``kids`` in the index ``st``: the
+    only push there moves a depth-one leaf below a rank-1 sibling, once, so
+    each childless rank-1 child takes a leaf, the root keeps one, and the
+    last leaves go, to the childless rank-1 children in id order."""
+    zeros = sorted(c for c in kids if st.rank[c] == 0)
+    leaves = sorted(c for c in kids if st.rank[c] == 1 and not st.table[c])
+    if len(zeros) <= len(leaves) or len(zeros) == len(kids):  # or no rank-1 child
+        return None
+    return list(zip(reversed(zeros), leaves)), []
+
+
 def benchmark_corpus(workdir, monkeypatch, gadgets: bool = True) -> list:
     """The seed-0 instances of the engine-positives benchmark corpus, then,
     with ``gadgets``, those of gadget-yes and gadget-no, in corpus order."""

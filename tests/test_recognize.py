@@ -24,6 +24,7 @@ from support import (
     ranked_trees,
     record_canonical_forms,
     reference_keep_walk,
+    reference_rank_two,
     relabel,
     star,
     union_trees_upto,
@@ -177,12 +178,22 @@ KEEP_CAP_SWEEP = {197: 8, 1070: 5, 1390: 5, 339: 5, 440: 5, 1088: 5, 1438: 13}
 PULL_FLOOR_SWEEP = {82: 6, 258: 8, 535: 8, 544: 5, 917: 18}
 
 
+def has_rank_two(st, kids):
+    """Whether a counted subproblem is of rank 3: it has a rank-2 child."""
+    return any(st.rank[c] == 2 for c in kids)
+
+
 @pytest.fixture
 def backtracked_rank_three(monkeypatch):
     """Rank-3 subproblems backtracked instead of counted, so trees of rank 3
-    still exercise the keep stage, placement and the pull walk."""
-    backtrack = recognize._backtrack
-    monkeypatch.setattr(recognize, "_rank_three", lambda st, kids: backtrack(st, 3, kids))
+    still exercise the keep stage, placement and the pull walk; rank-2
+    subproblems stay counted."""
+    count, backtrack = recognize._by_counting, recognize._backtrack
+    monkeypatch.setattr(
+        recognize,
+        "_by_counting",
+        lambda st, kids: backtrack(st, 3, kids) if has_rank_two(st, kids) else count(st, kids),
+    )
 
 
 def assert_decided_at_its_budget_as_the_oracle_says(s, ticks):
@@ -528,6 +539,37 @@ class TestRecognizer:
                 assert check_certificate(t, verdict.certificate), (t.parent, t.rank)
             reasons[verdict.reason] += 1
         assert reasons[REASON_CERTIFICATE] > 0 and reasons[REASON_SEARCH] > 0
+
+    def test_rank_two_subproblems_are_counted_by_the_rank_two_rule(self, monkeypatch):
+        # every rank-2 tree of 7 nodes, seeded random ones of up to 12 nodes
+        # with their mutants, and the rank-2 children met inside rank-3
+        # subproblems: counting makes the plan the rank-2 rule makes
+        rng = random.Random(5)
+        trees = [t for t in enumerate_trees(7) if t.root_rank == 2]
+        for _ in range(300):
+            t = random_rank_two_tree(rng, rng.randint(4, 12))
+            trees += [t, mutate(t, rng.randrange(1 << 30))]
+        decided = collections.Counter()
+        for t in trees:
+            if t.root_rank == 2:
+                st = _Search(t, None, set(zip(t.parent, t.rank)))
+                plan = recognize._by_counting(st, st.table[t.root])
+                assert plan == reference_rank_two(st, st.table[t.root]), (t.parent, t.rank)
+                decided[plan is not None] += 1
+        assert decided[True] > 100 and decided[False] > 100
+        count, inner = recognize._by_counting, collections.Counter()
+
+        def checked(st, kids):
+            plan = count(st, kids)
+            if not has_rank_two(st, kids):
+                assert plan == reference_rank_two(st, kids), kids
+                inner[plan is not None] += 1
+            return plan
+
+        monkeypatch.setattr(recognize, "_by_counting", checked)
+        for _ in range(1000):
+            is_union_find_tree(random_rank_three_tree(rng, rng.randint(8, 40)))
+        assert inner[True] > 400, inner
 
     def test_a_wide_rank_two_tree_is_decided_in_one_tick(self):
         # a rank-2 root over k childless rank-1 nodes and k + 1 leaves; the
@@ -894,17 +936,18 @@ class TestRecognizer:
     def test_rank_three_counting_agrees_with_the_backtracking(self, monkeypatch):
         # every rank-3 subproblem of the previous test's trees, of random
         # rank-3 trees of up to 40 nodes and of small engine trees, each
-        # also mutated, is decided both ways
+        # also mutated, is decided both ways; rank-2 ones are only counted
         decided = collections.Counter()
-        count = recognize._rank_three
+        count = recognize._by_counting
 
         def both(st, kids):
-            steps = count(st, kids)
-            assert (steps is None) == (recognize._backtrack(st, 3, kids) is None), kids
-            decided[steps is not None] += 1
-            return steps
+            plan = count(st, kids)
+            if has_rank_two(st, kids):
+                assert (plan is None) == (recognize._backtrack(st, 3, kids) is None), kids
+                decided[plan is not None] += 1
+            return plan
 
-        monkeypatch.setattr(recognize, "_rank_three", both)
+        monkeypatch.setattr(recognize, "_by_counting", both)
         rng = random.Random(4)
         trees = [random_rank_three_tree(rng, rng.randint(8, 40)) for _ in range(2000)]
         trees += [random_uf_tree(n, s) for n in (40, 80) for s in range(20)]
