@@ -5,13 +5,15 @@ equivalently, every node's children ranks form exactly the set
 ``{0, ..., rank-1}``.  A Union-Find tree additionally allows path
 compressions; equivalently, it can be transformed into a Union tree by a
 sequence of pushes.  Union trees are recognized in linear time; Union-Find
-recognition is NP-complete, so :func:`is_union_find_tree` runs an exact
-memoized backtracking search and, on acceptance, returns a replayable push
-certificate.  A subproblem of rank 3 or less is decided by one counting
-rule, :func:`_by_counting`; every level of the backtracking above runs on
-one explicit-stack walk, :func:`_depth_first`, so Python frames nest once
-per rank, not per child or class.  :func:`brute_force_is_uf` is an
-independent oracle for desk-scale cross-checks.
+recognition is NP-complete.  :func:`is_union_find_tree` runs the root
+filters, then the donor rule (:func:`_by_donors`, one bottom-up count that
+only accepts), then an exact memoized backtracking search, and on
+acceptance returns a replayable push certificate.  A search subproblem of
+rank 3 or less is decided by one counting rule, :func:`_by_counting`;
+every level of the backtracking above runs on one explicit-stack walk,
+:func:`_depth_first`, so Python frames nest once per rank, not per child
+or class.  :func:`brute_force_is_uf` is an independent oracle for
+desk-scale cross-checks.
 """
 
 from __future__ import annotations
@@ -119,46 +121,119 @@ class _BudgetExhausted(Exception):
 # subtrees below it, whose own plan the memo holds under its canonical key.
 _Plan = tuple[list[tuple[NodeId, NodeId]], list[tuple[bytes, NodeId, list[NodeId]]]]
 
+# What the donor rule and the search share; see _index
+_Index = tuple[list[list[NodeId]], list[bool], list[NodeId]]
+
+
+def _index(t: RankedTree, pairs: set[tuple[int, int]]) -> _Index:
+    """The child table, the Union flag of the subtree below each node, and
+    the nodes bottom-up: what the donor rule and the search share.
+    ``pairs`` are the tree's distinct (parent, rank) pairs, which the
+    root's checks built."""
+    # a node's own Union condition: as many distinct child ranks as its
+    # rank (_all_union); the root's pair lands on the spare last slot
+    distinct = [0] * (t.node_count + 1)
+    for p, _ in pairs:
+        distinct[p] += 1
+    union = [d == r for d, r in zip(distinct, t.rank)]
+    # ranks strictly decrease downward, so this order is bottom-up, root last
+    order = sorted(range(t.node_count), key=t.rank.__getitem__)
+    parent = t.parent
+    for x in order[:-1]:
+        if not union[x]:
+            union[parent[x]] = False
+    return t.child_table(), union, order
+
+
+def _by_donors(t: RankedTree, index: _Index) -> list[tuple[NodeId, NodeId]] | None:
+    """Push steps that make the tree a Union tree by handing Union subtrees
+    down to the nodes that miss a rank, or None if the root runs short.
+
+    Children first, a node v wants, for each rank m below its own,
+    ``max(0, 1 + sum of wants(c)[m] - #children of rank m)`` rank-m Union
+    subtrees pushed below it by its siblings; the sum runs over v's
+    non-Union children c, and the one is the rank-m child v keeps.  The
+    root's wants only grow as its children are counted, so the count
+    stops at its first shortage.  If the root wants nothing, the steps
+    are built top-down: at each node the non-Union children take turns in
+    ascending rank, and each takes the rank-m siblings it wants from the
+    Union children, the children repaired before it and the donors handed
+    down, then counts as Union.  A child only wants ranks below its own,
+    so every rank-m child is repaired before any child that wants rank m,
+    and the closed-form count is what this hand-out needs.  Every push
+    moves a sibling of strictly lower rank, so every step is legal.  The
+    rule only accepts.
+    """
+    table, union, _ = index
+    rank, root = t.rank, t.root
+    want: dict[NodeId, list[int]] = {}
+    short = [1] * rank[root]  # the root's wants so far, before the max with 0
+    for c in table[root]:
+        short[rank[c]] -= 1
+    for c in table[root]:
+        if union[c]:
+            continue
+        below = [c]  # c's non-Union subtree, parents before children
+        for x in below:  # the list grows while it is walked
+            below += [y for y in table[x] if not union[y]]
+        for x in reversed(below):
+            need = [1] * rank[x]
+            for y in table[x]:
+                need[rank[y]] -= 1
+                if not union[y]:
+                    for m, w in enumerate(want[y]):
+                        need[m] += w
+            want[x] = [max(w, 0) for w in need]
+        for m, w in enumerate(want[c]):
+            short[m] += w
+            if short[m] > 0:
+                return None
+    steps: list[tuple[NodeId, NodeId]] = []
+    todo = [(root, [])]
+    for v, donors in todo:  # the list grows while it is walked
+        spare: list[list[NodeId]] = [[] for _ in range(rank[v])]
+        for y in donors:
+            spare[rank[y]].append(y)
+        for c in sorted(table[v], key=rank.__getitem__):
+            if not union[c]:
+                given = [spare[m].pop() for m, w in enumerate(want[c]) for _ in range(w)]
+                steps += [(y, c) for y in given]
+                todo.append((c, given))
+            spare[rank[c]].append(c)
+    return steps
+
 
 class _Search:
     """Shared state of one recognition run, and its one index of the input tree.
 
-    Every subproblem the search decides is a root rank over a list of the
-    input tree's nodes: a push slides a depth-one child below a sibling
-    and leaves every subtree below them untouched.  So one child table,
-    one set of subtree keys and one bottom-up pass of per-node facts
-    (rank-0 surplus, size, Union flag of the subtree below each node)
-    serve every search node.  ``pairs`` are the tree's distinct
-    (parent, rank) pairs, which the root's checks built.
+    The search runs only on a tree that passes the root filters and that
+    the donor rule (:func:`_by_donors`) declines.  Every subproblem it
+    decides is a root rank over a list of the input tree's nodes: a push
+    slides a depth-one child below a sibling and leaves every subtree
+    below them untouched.  So one child table, one set of subtree keys
+    and one bottom-up pass of per-node facts (rank-0 surplus, size, Union
+    flag of the subtree below each node) serve every search node.  The
+    table, the Union flags and the bottom-up order come from
+    :func:`_index`, which the donor rule shares.
     """
 
     __slots__ = ("memo", "budget", "rank", "table", "keys", "surplus", "size", "union")
 
-    def __init__(self, t: RankedTree, budget: int | None, pairs: set[tuple[int, int]]):
+    def __init__(self, t: RankedTree, budget: int | None, index: _Index):
         # canonical key -> (x, grafted, plan): the subproblem that found its
         # plan, which names its own input-tree nodes; None if not UF
         self.memo: dict[bytes, tuple[NodeId, list[NodeId], _Plan] | None] = {}
         self.budget = budget
         self.rank = t.rank
-        self.table = t.child_table()
+        self.table, self.union, order = index
         self.keys = subtree_keys(t, self.table)
         parent = t.parent
         surplus, size = [1 if r == 0 else -1 for r in t.rank], [1] * t.node_count
-        # a node's own Union condition: as many distinct child ranks as its
-        # rank (_all_union); the root's pair lands on the spare last slot
-        distinct = [0] * (t.node_count + 1)
-        for p, _ in pairs:
-            distinct[p] += 1
-        union = [d == r for d, r in zip(distinct, t.rank)]
-        # ranks strictly decrease downward, so this order is bottom-up; the
-        # root comes last and has no parent to add into
-        for x in sorted(range(t.node_count), key=t.rank.__getitem__)[:-1]:
+        for x in order[:-1]:  # the root has no parent to add into
             p = parent[x]
             surplus[p] += surplus[x]
             size[p] += size[x]
-            if not union[x]:
-                union[p] = False
-        self.surplus, self.size, self.union = surplus, size, union
+        self.surplus, self.size = surplus, size
 
     def floors(self, rank: int, kids: list[NodeId], need: list[int]) -> list[int]:
         """``need`` less the kids of each rank, plus the needy kids of rank - 1
@@ -758,25 +833,30 @@ def _minimal_candidates(
 def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     """Exact Union-Find recognition with a push certificate on acceptance.
 
-    The search follows the characterization via pushes: pick the children
-    that remain at depth one (their ranks must cover ``{0..rank(root)-1}``),
-    push every other child below a strictly higher-ranked survivor, and
-    recursively decide each enriched subtree.  A Union tree, or a tree a
-    root filter refutes, is answered from the tree alone.  Otherwise one
-    index of the tree serves the whole search: every candidate subtree is
-    a rank over input-tree nodes, memoized by canonical key and searched
-    unless its Union flag or size decides it.  Targets are tried by rank,
-    key and id, so the search effort does not depend on the labeling.  The
-    search keeps plans, not steps; the certificate is assembled once, from
-    the winning plan.
+    Three stages run in order.  A Union tree, or a tree a root filter
+    refutes, is answered from the tree alone.  Then the donor rule
+    (:func:`_by_donors`) tries to repair every non-Union subtree with Union
+    siblings handed down from above; it costs no ticks and only accepts.
+    A tree it declines goes to the search, which follows the
+    characterization via pushes: pick the children that remain at depth
+    one (their ranks must cover ``{0..rank(root)-1}``), push every other
+    child below a strictly higher-ranked survivor, and recursively decide
+    each enriched subtree.  One index of the tree (:func:`_index`) serves
+    the rule and the whole search: every candidate subtree is a rank over
+    input-tree nodes, memoized by canonical key and searched unless its
+    Union flag or size decides it.  Targets are tried by rank, key and id,
+    so the search effort does not depend on the labeling.  The search keeps
+    plans, not steps; the certificate is assembled once, from the winning
+    plan.
 
-    ``budget`` caps the search effort in ticks, spent on keep levels and
-    vectors, splits and subtree decisions; rank 3 or less is decided by one
-    counting rule, so such a subproblem costs only its decision tick.  A keep
-    count that the per-rank test rules out, with the classes before it
-    booked and later ones counting 0, is charged in one step what walking
-    every keep vector below it would cost: a tick per level entered and per
-    vector.  Keep counts the surplus cap rules out, pull vectors below a
+    ``budget`` caps the search effort in ticks; the root filters and the
+    donor rule spend none, so at budget 0 only the search runs out.  Ticks
+    go to keep levels and vectors, splits and subtree decisions; rank 3 or
+    less is decided by one counting rule, so such a subproblem costs only
+    its decision tick.  A keep count that the per-rank test rules out, with
+    the classes before it booked and later ones counting 0, is charged in
+    one step what walking every keep vector below it would cost: a tick per
+    level entered and per vector.  Keep counts the surplus cap rules out, pull vectors below a
     rank's floor or above its slack, and splits whose rank-0 deficit no
     such vector covers are never searched and cost nothing.
     When the budget runs out the verdict is the inconclusive
@@ -798,7 +878,11 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     if not all((root, r) in pairs for r in range(t.rank[root])):
         return Verdict(False, REASON_MISSING_RANK)
 
-    st = _Search(t, budget, pairs)
+    index = _index(t, pairs)
+    steps = _by_donors(t, index)
+    if steps is not None:
+        return Verdict(True, REASON_CERTIFICATE, Certificate(tuple(steps)))
+    st = _Search(t, budget, index)
     try:
         st.tick()
         plan = _search(st, t.rank[root], st.table[root])

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from support import SOLVER_HARD_INSTANCE, many_needy_classes, many_repairs, wide_tree
+from support import (
+    SOLVER_HARD_INSTANCE,
+    benchmark_corpus,
+    many_needy_classes,
+    many_repairs,
+    wide_tree,
+)
 from uftree import cli, forest, recognize, reduction, tree
 from uftree.cli import main
 from uftree.forest import random_uf_tree
@@ -119,6 +125,30 @@ class TestCheck:
         path, _ = flat_tree_file
         assert main(["check", path, "--budget", "0"]) == 3
         assert main(["check", write_tree(tmp_path, singleton()), "--budget", "0"]) == 0
+
+    def test_an_engine_tree_is_accepted_at_zero_budget(self, tmp_path, capsys):
+        # the donor rule accepts it before the search, which spends no tick
+        t = random_uf_tree(800, 0)
+        argv = ["check", write_tree(tmp_path, t), "--budget", "0", "--emit-certificate"]
+        assert main(argv) == 0
+        assert check_certificate(t, parse_certificate(capsys.readouterr().out))
+
+    def test_partition_gadgets_still_exhaust_a_zero_budget(self, tmp_path, monkeypatch):
+        # the donor rule declines every seed-0 gadget-yes tree, so the search
+        # runs and its first tick exhausts the budget
+        instances = benchmark_corpus(tmp_path, monkeypatch)
+        gadgets = [inst for inst in instances if inst.flat and inst.known]
+        assert len(gadgets) == 18
+        for inst in gadgets:
+            assert main(["check", str(inst.path), "--budget", "0"]) == 3, inst.id
+
+    def test_a_large_op_log_export_is_accepted(self, tmp_path, capsys):
+        # a 19,666-node tree that the search alone left exhausted at 20,000
+        trees = forest.export_trees(forest.replay(forest.random_oplog(20_000, 60_000, 1)))
+        t = max((e.tree for e in trees), key=lambda t: t.node_count)
+        argv = ["check", write_tree(tmp_path, t), "--budget", "20000", "--emit-certificate"]
+        assert main(argv) == 0
+        assert check_certificate(t, parse_certificate(capsys.readouterr().out))
 
     @pytest.mark.parametrize("k", [1200, 49_980])
     def test_wide_trees_accepted_up_to_the_parse_cap(self, tmp_path, capsys, k):

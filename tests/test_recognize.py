@@ -196,6 +196,14 @@ def backtracked_rank_three(monkeypatch):
     )
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """The donor rule declines every tree, so a tree that passes the root
+    filters goes to the search: for the tests that pin the search's
+    effort, walks, certificates and subproblems."""
+    monkeypatch.setattr(recognize, "_by_donors", lambda *args: None)
+
+
 def assert_decided_at_its_budget_as_the_oracle_says(s, ticks):
     t = mutated_engine_tree(s)
     verdict = is_union_find_tree(t, budget=ticks)
@@ -388,7 +396,7 @@ class TestRecognizer:
     @given(ranked_trees(max_nodes=9))
     @settings(max_examples=80, deadline=None)
     def test_index_facts_match_the_subtrees(self, t):
-        st = _Search(t, None, set(zip(t.parent, t.rank)))
+        st = _Search(t, None, recognize._index(t, set(zip(t.parent, t.rank))))
         for x in range(t.node_count):
             sub, _ = subtree(t, x)
             assert st.surplus[x] == 2 * sub.rank.count(0) - sub.node_count
@@ -443,7 +451,7 @@ class TestRecognizer:
             "rank-two-refuted", "rank-three-refuted",
         ],
     )
-    def test_search_effort_is_pinned(self, build, ticks):
+    def test_search_effort_is_pinned(self, build, ticks, searched):
         # the smallest deciding budget: a change here changes the search itself
         t = build()
         verdict = is_union_find_tree(t, budget=ticks)
@@ -452,7 +460,7 @@ class TestRecognizer:
         if verdict.certificate is not None:
             assert check_certificate(t, verdict.certificate)
 
-    def test_benchmark_corpora_are_searched_as_pinned(self, tmp_path, monkeypatch):
+    def test_benchmark_corpora_are_searched_as_pinned(self, tmp_path, monkeypatch, searched):
         # verdict, ticks and certificate of the 71 seed-0 instances of the
         # engine-positives, gadget-yes and gadget-no benchmark corpora at
         # budget 20,000, in corpus order; an exhausted run counts as 20,001.
@@ -501,7 +509,7 @@ class TestRecognizer:
         assert "_iter_pulls" not in ticks
         assert ticks["_decide"] == len(decided) > 0
 
-    def test_pull_walk_cost_is_pinned(self, tmp_path, monkeypatch):
+    def test_pull_walk_cost_is_pinned(self, tmp_path, monkeypatch, searched):
         # prefixes the candidate and split walks visit over the 37 seed-0
         # engine-positives trees at budget 20,000: work that ticks miss
         instances = benchmark_corpus(tmp_path, monkeypatch, gadgets=False)
@@ -511,7 +519,7 @@ class TestRecognizer:
         assert len(instances) == 37
         assert prefixes[0] == 6741
 
-    def test_keep_walk_cost_is_pinned(self, tmp_path, monkeypatch):
+    def test_keep_walk_cost_is_pinned(self, tmp_path, monkeypatch, searched):
         # keep levels entered over the 37 seed-0 engine-positives trees at
         # budget 20,000; walking below keep counts the per-rank test refutes
         # entered 22,062
@@ -540,7 +548,7 @@ class TestRecognizer:
             reasons[verdict.reason] += 1
         assert reasons[REASON_CERTIFICATE] > 0 and reasons[REASON_SEARCH] > 0
 
-    def test_rank_two_subproblems_are_counted_by_the_rank_two_rule(self, monkeypatch):
+    def test_rank_two_subproblems_are_counted_by_the_rank_two_rule(self, monkeypatch, searched):
         # every rank-2 tree of 7 nodes, seeded random ones of up to 12 nodes
         # with their mutants, and the rank-2 children met inside rank-3
         # subproblems: counting makes the plan the rank-2 rule makes
@@ -552,7 +560,7 @@ class TestRecognizer:
         decided = collections.Counter()
         for t in trees:
             if t.root_rank == 2:
-                st = _Search(t, None, set(zip(t.parent, t.rank)))
+                st = _Search(t, None, recognize._index(t, set(zip(t.parent, t.rank))))
                 plan = recognize._by_counting(st, st.table[t.root])
                 assert plan == reference_rank_two(st, st.table[t.root]), (t.parent, t.rank)
                 decided[plan is not None] += 1
@@ -571,7 +579,7 @@ class TestRecognizer:
             is_union_find_tree(random_rank_three_tree(rng, rng.randint(8, 40)))
         assert inner[True] > 400, inner
 
-    def test_a_wide_rank_two_tree_is_decided_in_one_tick(self):
+    def test_a_wide_rank_two_tree_is_decided_in_one_tick(self, searched):
         # a rank-2 root over k childless rank-1 nodes and k + 1 leaves; the
         # generic search spent 100,001 ticks on it: the root's, a keep level
         # and its vector, and per childless rank-1 child its split and its
@@ -620,7 +628,7 @@ class TestRecognizer:
         assert check_certificate(more, verdict.certificate)
         assert brute_force_is_uf(more, max_nodes=13)
 
-    def test_a_wide_rank_three_tree_is_decided_in_one_tick(self):
+    def test_a_wide_rank_three_tree_is_decided_in_one_tick(self, searched):
         # a rank-3 root over a Union rank-2 node, k childless rank-1 nodes
         # and k + 1 leaves; the generic search spent 99,997 ticks on it: per
         # childless rank-1 child its split and its decided pull
@@ -647,7 +655,9 @@ class TestRecognizer:
         assert not verdict.accepted
         assert verdict.reason == REASON_SEARCH
 
-    def test_search_paths_the_corpora_miss_give_their_verdicts(self, backtracked_rank_three):
+    def test_search_paths_the_corpora_miss_give_their_verdicts(
+        self, backtracked_rank_three, searched
+    ):
         # the new cases of test_search_effort_is_pinned: a candidate the
         # size filter refutes, a free target pulled below an earlier one, a
         # walk resumed past an untouched free target (at rank 3, so it is
@@ -747,13 +757,17 @@ class TestRecognizer:
             assert check_certificate(t, verdict.certificate)
 
     @pytest.mark.parametrize("s", KEEP_CAP_SWEEP)
-    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(self, s, backtracked_rank_three):
+    def test_keep_caps_agree_with_the_oracle_on_sweep_trees(
+        self, s, backtracked_rank_three, searched
+    ):
         # trees of the 1,500-tree oracle sweep on which the keep stage caps a
         # needy class below its size, at their smallest deciding budget
         assert_decided_at_its_budget_as_the_oracle_says(s, KEEP_CAP_SWEEP[s])
 
     @pytest.mark.parametrize("s", PULL_FLOOR_SWEEP)
-    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(self, s, backtracked_rank_three):
+    def test_pull_floors_agree_with_the_oracle_on_sweep_trees(
+        self, s, backtracked_rank_three, searched
+    ):
         # trees of the 1,500-tree oracle sweep on which a rank's pull floor
         # of 2 or more cuts a vector that covers every missing rank, at
         # their smallest deciding budget
@@ -775,7 +789,7 @@ class TestRecognizer:
         assert is_union_find_tree(make_flat_tree(parse_instance("1,2,3,4,4;2")).tree).accepted
         assert len(calls) <= 6
 
-    def test_benchmark_corpora_canonicalize_as_pinned(self, tmp_path, monkeypatch):
+    def test_benchmark_corpora_canonicalize_as_pinned(self, tmp_path, monkeypatch, searched):
         # canonical_form calls and nodes over the 71 seed-0 benchmark
         # instances at budget 20,000: only a part of the winning plan that
         # reuses the steps of an isomorphic twin is canonicalized, once per
@@ -788,7 +802,7 @@ class TestRecognizer:
             is_union_find_tree(inst.tree, budget=20_000)
         assert (len(nodes), sum(nodes)) == (54, 762)
 
-    def test_a_twin_reuses_the_steps_found_at_its_isomorphic_sibling(self, monkeypatch):
+    def test_a_twin_reuses_the_steps_found_at_its_isomorphic_sibling(self, monkeypatch, searched):
         # root 0 (rank 4) over Union children of ranks 0-2 and the
         # isomorphic rank-3 nodes 8 and 16, listed in other orders.  Each
         # is a Union tree once a rank-1 child is pushed below its rank-2
@@ -933,7 +947,7 @@ class TestRecognizer:
             reasons[reason] += 1
         assert min(reasons.values()) > 0 and len(reasons) == 6, reasons
 
-    def test_rank_three_counting_agrees_with_the_backtracking(self, monkeypatch):
+    def test_rank_three_counting_agrees_with_the_backtracking(self, monkeypatch, searched):
         # every rank-3 subproblem of the previous test's trees, of random
         # rank-3 trees of up to 40 nodes and of small engine trees, each
         # also mutated, is decided both ways; rank-2 ones are only counted
@@ -978,6 +992,66 @@ class TestRecognizer:
                 final = push_op(final, a, b)
             gap = final.depth_sum() - st_seed.depth_sum()
             assert len(verdict.certificate) <= gap <= st_seed.node_count**2
+
+
+class TestDonorRule:
+    # The rule costs no ticks and the search spends one at its root, so at
+    # budget 0 a certificate comes from the rule and search-exhausted means
+    # the rule declined.
+
+    def test_engine_positive_shapes_are_accepted_without_the_search(self):
+        # the shapes of the engine-positives benchmark corpus; at budget
+        # 20,000 the search left 11 of them exhausted
+        trees = [random_uf_tree(n, s) for n in (100, 200, 400, 800) for s in range(8)]
+        trees += [largest_export(n, 1) for n in (500, 1000, 2000)]
+        trees += [wide_tree(k) for k in (200, 900, 1200)]
+        for t in trees:
+            verdict = is_union_find_tree(t, budget=0)
+            assert verdict.reason == REASON_CERTIFICATE, t.node_count
+            assert check_certificate(t, verdict.certificate), t.node_count
+
+    def test_a_20000_node_engine_tree_is_accepted_without_the_search(self):
+        t = random_uf_tree(20_000, 0)
+        verdict = is_union_find_tree(t, budget=0)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert check_certificate(t, verdict.certificate)
+
+    @pytest.mark.parametrize(
+        "trees, reasons",
+        [
+            (
+                lambda: enumerate_trees(7),
+                {REASON_COUNT_FILTER: 982, REASON_RANK_RANGE: 138, REASON_UNION_TREE: 20,
+                 REASON_MISSING_RANK: 13, REASON_CERTIFICATE: 9, REASON_BUDGET: 2},
+            ),
+            # of the 246 oracle positives among sweep trees 0-299, 104 are
+            # Union trees and the rule accepts all but one of the rest
+            (
+                lambda: map(mutated_engine_tree, range(1500)),
+                {REASON_UNION_TREE: 484, REASON_COUNT_FILTER: 15, REASON_MISSING_RANK: 60,
+                 REASON_CERTIFICATE: 744, REASON_BUDGET: 197},
+            ),
+        ],
+        ids=["upto7", "sweep"],
+    )
+    def test_accepts_only_what_the_oracle_accepts(self, trees, reasons):
+        seen = collections.Counter()
+        for t in trees():
+            verdict = is_union_find_tree(t, budget=0)
+            if verdict.reason == REASON_CERTIFICATE:
+                assert check_certificate(t, verdict.certificate), (t.parent, t.rank)
+                assert brute_force_is_uf(t, max_nodes=64), (t.parent, t.rank)
+            seen[verdict.reason] += 1
+        assert seen == reasons
+
+    def test_partition_gadgets_go_to_the_search(self, tmp_path, monkeypatch):
+        # every seed-0 gadget-yes and gadget-no instance: an apple wants its
+        # weight in leaves and the root has one, so the rule declines at the
+        # first apple
+        gadgets = [inst for inst in benchmark_corpus(tmp_path, monkeypatch) if inst.flat]
+        assert len(gadgets) == 34
+        for inst in gadgets:
+            assert is_union_find_tree(inst.tree, budget=0).reason == REASON_BUDGET, inst.id
 
 
 def reference_candidates(limits, minima, balances, deficit, groups, floors, ceilings):
@@ -1139,7 +1213,8 @@ class TestSplits:
 
 
 def small_search(budget):
-    return _Search(RankedTree((-1, 0), (1, 0)), budget, {(-1, 1), (0, 0)})
+    t = RankedTree((-1, 0), (1, 0))
+    return _Search(t, budget, recognize._index(t, {(-1, 1), (0, 0)}))
 
 
 class TestBudget:
