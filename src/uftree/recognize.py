@@ -610,33 +610,32 @@ def _splits(ranges: list[range], weights: list[int], lo: int, hi: int):
     """The vectors of ``itertools.product(*ranges)``, in its order, whose
     weighted sum against ``weights`` lies in ``[lo, hi]``.
 
-    The ranges are contiguous.  A prefix walk: the least and most the
-    remaining coordinates can add bound each coordinate to the values
-    that can still reach the window, so a cut prefix is never visited.
+    A prefix walk: ``reach[i]`` has a bit for exactly each sum coordinates
+    i.. can add, offset by ``least[i]``.  A value is tried only if some rest
+    then lands in the window, so every prefix walked leads to a yield.
     """
     n = len(ranges)
-    # least[i], most[i]: the least and most coordinates i.. add to the sum
-    least, most = [0] * (n + 1), [0] * (n + 1)
+    least, reach = [0] * (n + 1), [0] * n + [1]
     for i in range(n - 1, -1, -1):
-        ends = (ranges[i].start * weights[i], (ranges[i].stop - 1) * weights[i])
-        least[i], most[i] = least[i + 1] + min(ends), most[i + 1] + max(ends)
-    if lo > most[0] or hi < least[0]:
-        return
+        r, w = ranges[i], weights[i]
+        least[i] = least[i + 1] + min(r.start * w, (r.stop - 1) * w)
+        for v in r:
+            reach[i] |= reach[i + 1] << (least[i + 1] + v * w - least[i])
+
+    def fits(i: int, total: int) -> bool:
+        # reach[i] has a bit in the window left: its lowest at or above low
+        low = max(lo - total - least[i], 0)
+        sums = reach[i] >> low
+        return sums > 0 and (sums & -sums).bit_length() <= hi - total - least[i] - low + 1
 
     def choose(i: int, state: tuple[int, tuple[int, ...]]):
         total, prefix = state
-        w, first, last = weights[i], ranges[i].start, ranges[i].stop - 1
-        # v * w must lie in [low, high] for some rest of the vector to fit;
-        # the prefix can reach the window, so a zero weight admits every v
-        low, high = lo - total - most[i + 1], hi - total - least[i + 1]
-        if w > 0:
-            first, last = max(first, -(-low // w)), min(last, high // w)
-        elif w < 0:
-            first, last = max(first, -(-high // w)), min(last, low // w)
-        for v in range(first, last + 1):
-            yield total + v * w, prefix + (v,)
+        for v in ranges[i]:
+            if fits(i + 1, total + v * weights[i]):
+                yield total + v * weights[i], prefix + (v,)
 
-    yield from (prefix for _, prefix in _depth_first(choose, n, (0, ())))
+    if fits(0, 0):
+        yield from (prefix for _, prefix in _depth_first(choose, n, (0, ())))
 
 
 def _steps(st: _Search, plan: _Plan, built: dict[bytes, list]) -> list[tuple[NodeId, NodeId]]:
@@ -856,12 +855,13 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     its decision tick.  A keep count that the per-rank test rules out, with
     the classes before it booked and later ones counting 0, is charged in
     one step what walking every keep vector below it would cost: a tick per
-    level entered and per vector.  Keep counts the surplus cap rules out, pull vectors below a
-    rank's floor or above its slack, and splits whose rank-0 deficit no
-    such vector covers are never searched and cost nothing.
+    level entered and per vector.  Keep counts the surplus cap rules out,
+    pull vectors below a rank's floor or above its slack, and splits whose
+    rank-0 deficit no such vector covers are never searched and cost
+    nothing; a split prefix that no split can complete is never walked.
     When the budget runs out the verdict is the inconclusive
-    ``search-exhausted``; without one the search always ends with a
-    definite answer.
+    ``search-exhausted``; without one the search always ends with a definite
+    answer.
     """
     validate(t).raise_if_invalid()
     pairs = set(zip(t.parent, t.rank))

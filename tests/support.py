@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from uftree import recognize
 from uftree.errors import CapExceeded, FormatError
+from uftree.reduction import PartitionInstance
 from uftree.tree import (
     NO_PARENT,
     RANK_CAP,
@@ -467,9 +468,35 @@ def benchmark_corpus(workdir, monkeypatch, gadgets: bool = True) -> list:
     return instances
 
 
+def divisibility_no_instance(seed: int) -> PartitionInstance:
+    """40 weights ``4 * randint(25, 50)`` in 4 parts, redrawn until their sum
+    is not a multiple of 16.  Every part then sums to a multiple of 4 and
+    B = sum / 4 is not one: negative by construction, with no solver."""
+    rng = random.Random(seed)
+    while True:
+        weights = tuple(4 * rng.randint(25, 50) for _ in range(40))
+        if sum(weights) % 16:
+            return PartitionInstance(weights, 4)
+
+
+def planted_three_partition(k: int, target: int, seed: int) -> PartitionInstance:
+    """k planted triples summing to ``target``, each weight strictly between
+    target/4 and target/2, shuffled: positive by construction."""
+    rng = random.Random(seed)
+    low, high = target // 4 + 1, (target - 1) // 2
+    weights: list[int] = []
+    while len(weights) < 3 * k:
+        a, b = rng.randint(low, high), rng.randint(low, high)
+        if low <= target - a - b <= high:
+            weights += [a, b, target - a - b]
+    rng.shuffle(weights)
+    return PartitionInstance(tuple(weights), k)
+
+
 def count_stage_entries(monkeypatch, name: str) -> list[int]:
     """A one-element counter of the levels that ``recognize._depth_first``
-    walks enter in stages named ``name``, counting from now."""
+    walks enter in stages whose qualified name ends with ``name``, counting
+    from now."""
     entered = [0]
     depth_first = recognize._depth_first
 
@@ -478,10 +505,27 @@ def count_stage_entries(monkeypatch, name: str) -> list[int]:
             entered[0] += 1
             return stage(i, state)
 
-        return depth_first(counting if stage.__name__ == name else stage, depth, state)
+        return depth_first(counting if stage.__qualname__.endswith(name) else stage, depth, state)
 
     monkeypatch.setattr(recognize, "_depth_first", counted)
     return entered
+
+
+def count_split_walk(monkeypatch) -> tuple[list[int], list[int]]:
+    """One-element counters, from now on, of the levels the ``_splits``
+    walks enter and of ``len(ranges)`` summed over the vectors they yield.
+    A walk that enters only prefixes of yielded vectors keeps the first at
+    most the second."""
+    entered, bound = count_stage_entries(monkeypatch, "_splits.<locals>.choose"), [0]
+    splits = recognize._splits
+
+    def counted(ranges, *args):
+        for vector in splits(ranges, *args):
+            bound[0] += len(ranges)
+            yield vector
+
+    monkeypatch.setattr(recognize, "_splits", counted)
+    return entered, bound
 
 
 def record_canonical_forms(monkeypatch) -> list[int]:

@@ -11,6 +11,7 @@ import pytest
 from support import (
     SOLVER_HARD_INSTANCE,
     benchmark_corpus,
+    divisibility_no_instance,
     many_needy_classes,
     many_repairs,
     wide_tree,
@@ -19,7 +20,7 @@ from uftree import cli, forest, recognize, reduction, tree
 from uftree.cli import main
 from uftree.forest import random_uf_tree
 from uftree.recognize import check_certificate, parse_certificate
-from uftree.reduction import make_flat_tree, parse_instance
+from uftree.reduction import format_instance, make_flat_tree, parse_instance
 from uftree.tree import parse_tree, serialize_tree, singleton
 
 
@@ -233,6 +234,13 @@ class TestReductionCommands:
         assert out_file.exists() == (code == 0)
         if code == 0:
             assert parse_tree(out_file.read_text(), max_nodes=cap).node_count == cap
+
+    def test_a_reduced_divisibility_no_gadget_is_refuted_within_its_budget(self, tmp_path):
+        # 40 weights, ~12,000 nodes: negative by construction, exit 1
+        out_file = tmp_path / "flat.tree"
+        text = format_instance(divisibility_no_instance(0))
+        assert main(["reduce", text, "-o", str(out_file)]) == 0
+        assert main(["check", str(out_file), "--budget", "20000"]) == 1
 
     def test_verify_agreement(self, capsys):
         assert main(["verify", "1,2,3,4,4;2"]) == 0

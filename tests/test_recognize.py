@@ -1177,6 +1177,18 @@ def reference_splits(ranges, weights, lo, hi):
     ]
 
 
+def random_split_case(seed):
+    """Seeded ranges, weights of either sign and a window, maybe empty."""
+    rng = random.Random(seed)
+    ranges = []
+    for _ in range(rng.randint(0, 4)):
+        start = rng.randint(0, 3)
+        ranges.append(range(start, start + rng.randint(1, 4)))
+    weights = [rng.randint(-4, 4) for _ in ranges]
+    lo = rng.randint(-12, 12)
+    return ranges, weights, lo, lo + rng.randint(-2, 10)
+
+
 class TestSplits:
     @pytest.mark.parametrize(
         "ranges, weights, lo, hi",
@@ -1200,16 +1212,23 @@ class TestSplits:
     def test_random_cases_match_the_reference(self):
         # the order is part of the contract: the first success must not move
         for seed in range(300):
-            rng = random.Random(seed)
-            ranges = []
-            for _ in range(rng.randint(0, 4)):
-                start = rng.randint(0, 3)
-                ranges.append(range(start, start + rng.randint(1, 4)))
-            weights = [rng.randint(-4, 4) for _ in ranges]
-            lo = rng.randint(-12, 12)
-            hi = lo + rng.randint(-2, 10)
+            ranges, weights, lo, hi = random_split_case(seed)
             expected = reference_splits(ranges, weights, lo, hi)
             assert list(_splits(ranges, weights, lo, hi)) == expected, (ranges, weights, lo, hi)
+
+    def test_every_prefix_walked_leads_to_a_yielded_vector(self, monkeypatch):
+        # the random cases, and windows strictly between two multiples of k
+        # over weights all k or all -k, which hold no reachable sum although
+        # the sums around them do; an interval bound walks those for nothing
+        cases = [random_split_case(seed) for seed in range(300)]
+        for k, n, sign in itertools.product((2, 3, 4), (3, 6, 9), (1, -1)):
+            window = sorted((sign * (k * n + 1), sign * (k * n + k - 1)))
+            cases.append(([range(0, 3)] * n, [sign * k] * n, *window))
+        entered = count_stage_entries(monkeypatch, "_splits.<locals>.choose")
+        for ranges, weights, lo, hi in cases:
+            entered[0] = 0
+            vectors = list(_splits(ranges, weights, lo, hi))
+            assert entered[0] <= len(ranges) * len(vectors), (ranges, weights, lo, hi)
 
 
 def small_search(budget):

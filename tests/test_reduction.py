@@ -7,10 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import SOLVER_HARD_INSTANCE
+from support import (
+    SOLVER_HARD_INSTANCE,
+    count_split_walk,
+    divisibility_no_instance,
+    planted_three_partition,
+)
 from uftree import reduction
 from uftree.errors import CapExceeded, FormatError
-from uftree.recognize import brute_force_is_uf, check_certificate, count_filter, is_union_find_tree
+from uftree.recognize import (
+    REASON_SEARCH,
+    brute_force_is_uf,
+    check_certificate,
+    count_filter,
+    is_union_find_tree,
+)
 from uftree.reduction import (
     VERIFY_NODE_CAP,
     FlatTree,
@@ -319,3 +330,31 @@ class TestVerifyReduction:
         assert lines["agree"] == "true"
         assert lines["extraction"] == "valid"
         assert int(lines["certificate_steps"]) > 0
+
+
+class TestHardGadgets:
+    """Large gadgets whose answers come from their construction, not a solver."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_divisibility_no_gadgets_are_refuted_walking_only_splits_that_exist(
+        self, seed, monkeypatch
+    ):
+        # ~12,000 nodes; the root's first basket has a one-sum window that no
+        # sum of multiples of 4 reaches, and an interval-bounded split walk
+        # spent 8-24 s there
+        inst = divisibility_no_instance(seed)
+        entered, bound = count_split_walk(monkeypatch)
+        assert is_union_find_tree(make_flat_tree(inst).tree, budget=20_000).reason == REASON_SEARCH
+        assert entered[0] <= bound[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("target", [60, 100])
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_planted_three_partitions_are_accepted(self, k, target, seed):
+        inst = planted_three_partition(k, target, seed)
+        flat = make_flat_tree(inst)
+        verdict = is_union_find_tree(flat.tree, budget=20_000)
+        assert verdict.accepted
+        assert check_certificate(flat.tree, verdict.certificate)
+        sol = extract_solution(flat, verdict.certificate)
+        assert sol is not None and is_valid_solution(inst, sol)
