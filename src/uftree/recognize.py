@@ -149,57 +149,44 @@ def _by_donors(t: RankedTree, index: _Index) -> list[tuple[NodeId, NodeId]] | No
     """Push steps that make the tree a Union tree by handing Union subtrees
     down to the nodes that miss a rank, or None if the root runs short.
 
-    Children first, a node v wants, for each rank m below its own,
-    ``max(0, 1 + sum of wants(c)[m] - #children of rank m)`` rank-m Union
-    subtrees pushed below it by its siblings; the sum runs over v's
-    non-Union children c, and the one is the rank-m child v keeps.  The
-    root's wants only grow as its children are counted, so the count
-    stops at its first shortage.  If the root wants nothing, the steps
-    are built top-down: at each node the non-Union children take turns in
+    Bottom-up, a non-Union node v wants, for each rank m below its own,
+    ``1 + sum of wants(c)[m] - #children of rank m`` rank-m Union subtrees
+    pushed below it by its siblings; the sum runs over v's non-Union
+    children c, and the one is the rank-m child v keeps.  A want is kept
+    as counted and read only where it is positive.  The root, last in the
+    order, must want nothing.  Then the non-Union nodes hand out donors
+    parents first: at each node the non-Union children take turns in
     ascending rank, and each takes the rank-m siblings it wants from the
-    Union children, the children repaired before it and the donors handed
-    down, then counts as Union.  A child only wants ranks below its own,
-    so every rank-m child is repaired before any child that wants rank m,
-    and the closed-form count is what this hand-out needs.  Every push
+    node's rank-m children and the donors handed down to it.  A child only
+    wants ranks below its own, so every rank-m child is repaired before any
+    child that takes it, and the count is what this hand-out needs.  Every push
     moves a sibling of strictly lower rank, so every step is legal.  The
     rule only accepts.
     """
-    table, union, _ = index
-    rank, root = t.rank, t.root
-    want: dict[NodeId, list[int]] = {}
-    short = [1] * rank[root]  # the root's wants so far, before the max with 0
-    for c in table[root]:
-        short[rank[c]] -= 1
-    for c in table[root]:
-        if union[c]:
-            continue
-        below = [c]  # c's non-Union subtree, parents before children
-        for x in below:  # the list grows while it is walked
-            below += [y for y in table[x] if not union[y]]
-        for x in reversed(below):
+    table, union, order = index
+    rank = t.rank
+    want: dict[NodeId, list[int]] = {}  # non-Union nodes, bottom-up
+    for x in order:
+        if not union[x]:
             need = [1] * rank[x]
             for y in table[x]:
                 need[rank[y]] -= 1
                 if not union[y]:
                     for m, w in enumerate(want[y]):
-                        need[m] += w
-            want[x] = [max(w, 0) for w in need]
-        for m, w in enumerate(want[c]):
-            short[m] += w
-            if short[m] > 0:
-                return None
+                        if w > 0:
+                            need[m] += w
+            want[x] = need
+    if any(w > 0 for w in want[t.root]):
+        return None
     steps: list[tuple[NodeId, NodeId]] = []
-    todo = [(root, [])]
-    for v, donors in todo:  # the list grows while it is walked
+    given = {t.root: []}
+    for v in reversed(want):
         spare: list[list[NodeId]] = [[] for _ in range(rank[v])]
-        for y in donors:
+        for y in given[v] + table[v]:
             spare[rank[y]].append(y)
-        for c in sorted(table[v], key=rank.__getitem__):
-            if not union[c]:
-                given = [spare[m].pop() for m, w in enumerate(want[c]) for _ in range(w)]
-                steps += [(y, c) for y in given]
-                todo.append((c, given))
-            spare[rank[c]].append(c)
+        for c in sorted([c for c in table[v] if not union[c]], key=rank.__getitem__):
+            given[c] = [spare[m].pop() for m, w in enumerate(want[c]) for _ in range(w)]
+            steps += [(y, c) for y in given[c]]
     return steps
 
 

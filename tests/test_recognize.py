@@ -1005,16 +1005,41 @@ class TestDonorRule:
         trees = [random_uf_tree(n, s) for n in (100, 200, 400, 800) for s in range(8)]
         trees += [largest_export(n, 1) for n in (500, 1000, 2000)]
         trees += [wide_tree(k) for k in (200, 900, 1200)]
+        # the donors each node is handed, apart from the order of the steps
+        digest, steps = hashlib.sha256(), 0
         for t in trees:
             verdict = is_union_find_tree(t, budget=0)
             assert verdict.reason == REASON_CERTIFICATE, t.node_count
             assert check_certificate(t, verdict.certificate), t.node_count
+            digest.update(repr(sorted(verdict.certificate.steps)).encode())
+            steps += len(verdict.certificate)
+        assert len(trees) == 38
+        assert steps == 1445
+        assert digest.hexdigest() == (
+            "14764a6baf3997f98633bea0cf0f0695be2d35021ff573766913588814cc4f6d"
+        )
 
     def test_a_20000_node_engine_tree_is_accepted_without_the_search(self):
         t = random_uf_tree(20_000, 0)
         verdict = is_union_find_tree(t, budget=0)
         assert verdict.reason == REASON_CERTIFICATE
         assert check_certificate(t, verdict.certificate)
+        assert len(verdict.certificate) == 1935
+
+    def test_a_needy_child_that_must_go_below_a_sibling_is_left_to_the_search(self):
+        # sweep tree 51: the root's rank-1 children 2 and 3 each miss rank
+        # 0, and the root has two leaves, one of which it keeps.  A
+        # certificate pushes 3 below the rank-2 child 5, where 3 takes one
+        # of 5's spare leaves.  The rule never moves a node that misses a
+        # rank, so 2 and 3 both want a root leaf and it declines this
+        # positive; a rule that closes the gap flips the first assert.
+        t = mutated_engine_tree(51)
+        assert t.node_count == 16
+        assert is_union_find_tree(t, budget=0).reason == REASON_BUDGET
+        verdict = is_union_find_tree(t)
+        assert verdict.reason == REASON_CERTIFICATE
+        assert check_certificate(t, verdict.certificate)
+        assert brute_force_is_uf(t, max_nodes=64)
 
     @pytest.mark.parametrize(
         "trees, reasons",
@@ -1046,8 +1071,8 @@ class TestDonorRule:
 
     def test_partition_gadgets_go_to_the_search(self, tmp_path, monkeypatch):
         # every seed-0 gadget-yes and gadget-no instance: an apple wants its
-        # weight in leaves and the root has one, so the rule declines at the
-        # first apple
+        # weight in leaves and the root has one, so the root wants leaves and
+        # the rule declines
         gadgets = [inst for inst in benchmark_corpus(tmp_path, monkeypatch) if inst.flat]
         assert len(gadgets) == 34
         for inst in gadgets:
