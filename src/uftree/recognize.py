@@ -6,20 +6,22 @@ equivalently, every node's children ranks form exactly the set
 compressions; equivalently, it can be transformed into a Union tree by a
 sequence of pushes.  Union trees are recognized in linear time; Union-Find
 recognition is NP-complete.  :func:`is_union_find_tree` runs the root
-filters, then the donor rule (:func:`_by_donors`, one bottom-up count that
-only accepts), then an exact memoized backtracking search, and on
-acceptance returns a replayable push certificate.  A search subproblem of
-rank 3 or less is decided by one counting rule, :func:`_by_counting`;
-every level of the backtracking above runs on one explicit-stack walk,
-:func:`_depth_first`, so Python frames nest once per rank, not per child
-or class.  :func:`brute_force_is_uf` is an independent oracle for
-desk-scale cross-checks.
+filters, then the donor rule (:func:`_by_donors`, one bottom-up count over
+the non-Union nodes, which only accepts), then an exact memoized
+backtracking search, and on acceptance returns a replayable push
+certificate.  A search subproblem of rank 3 or less is decided by one
+counting rule, :func:`_by_counting`; every level of the backtracking
+above runs on one explicit-stack walk, :func:`_depth_first`, so Python
+frames nest once per rank, not per child or class.
+:func:`brute_force_is_uf` is an independent oracle for desk-scale
+cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress
+from operator import gt, not_
 
 from .errors import CapExceeded, FormatError
 from .tree import (
@@ -121,28 +123,30 @@ class _BudgetExhausted(Exception):
 # subtrees below it, whose own plan the memo holds under its canonical key.
 _Plan = tuple[list[tuple[NodeId, NodeId]], list[tuple[bytes, NodeId, list[NodeId]]]]
 
-# What the donor rule and the search share; see _index
-_Index = tuple[list[list[NodeId]], list[bool], list[NodeId]]
+_Index = tuple[list[NodeId], list[list[NodeId]], list[bool]]  # see _index
 
 
 def _index(t: RankedTree, pairs: set[tuple[int, int]]) -> _Index:
-    """The child table, the Union flag of the subtree below each node, and
-    the nodes bottom-up: what the donor rule and the search share.
-    ``pairs`` are the tree's distinct (parent, rank) pairs, which the
-    root's checks built."""
-    # a node's own Union condition: as many distinct child ranks as its
-    # rank (_all_union); the root's pair lands on the spare last slot
-    distinct = [0] * (t.node_count + 1)
+    """The non-Union nodes by rank, their children (any other node gets an
+    empty tuple), and every Union flag, then a False for the root's parent.
+    The nodes with fewer distinct child ranks in ``pairs`` than their rank
+    fail (_all_union); the non-Union nodes are those and their ancestors."""
+    n, rank, parent = t.node_count, t.rank, t.parent
+    distinct = [0] * (n + 1)  # the root's pair lands on the spare last slot
     for p, _ in pairs:
         distinct[p] += 1
-    union = [d == r for d, r in zip(distinct, t.rank)]
-    # ranks strictly decrease downward, so this order is bottom-up, root last
-    order = sorted(range(t.node_count), key=t.rank.__getitem__)
-    parent = t.parent
-    for x in order[:-1]:
-        if not union[x]:
-            union[parent[x]] = False
-    return t.child_table(), union, order
+    union, table = [True] * n + [False], [()] * n + [[]]  # the root's parent last
+    needy: list[NodeId] = []
+    for x in compress(range(n), map(gt, rank, distinct)):
+        while union[x]:
+            union[x] = False
+            table[x] = []
+            needy.append(x)
+            x = parent[x]
+    for c in compress(range(n), map(not_, map(union.__getitem__, parent))):
+        table[parent[c]].append(c)
+    del table[n]
+    return sorted(needy, key=rank.__getitem__), table, union
 
 
 def _by_donors(t: RankedTree, index: _Index) -> list[tuple[NodeId, NodeId]] | None:
@@ -152,34 +156,32 @@ def _by_donors(t: RankedTree, index: _Index) -> list[tuple[NodeId, NodeId]] | No
     Bottom-up, a non-Union node v wants, for each rank m below its own,
     ``1 + sum of wants(c)[m] - #children of rank m`` rank-m Union subtrees
     pushed below it by its siblings; the sum runs over v's non-Union
-    children c, and the one is the rank-m child v keeps.  A want is kept
-    as counted and read only where it is positive.  The root, last in the
-    order, must want nothing.  Then the non-Union nodes hand out donors
-    parents first: at each node the non-Union children take turns in
-    ascending rank, and each takes the rank-m siblings it wants from the
-    node's rank-m children and the donors handed down to it.  A child only
-    wants ranks below its own, so every rank-m child is repaired before any
-    child that takes it, and the count is what this hand-out needs.  Every push
-    moves a sibling of strictly lower rank, so every step is legal.  The
-    rule only accepts.
+    children c, and the one is the rank-m child v keeps.  A want is kept as
+    counted and read only where it is positive.  The root, last by rank,
+    must want nothing.  Then the non-Union nodes hand out donors parents
+    first: at each node the non-Union children take turns in ascending
+    rank, and each takes the rank-m siblings it wants from the node's rank-m
+    children and the donors handed down to it.  A child only wants ranks
+    below its own, so every rank-m child is repaired before any child that
+    takes it, and the count is what this hand-out needs.  Every push moves a
+    sibling of strictly lower rank, so every step is legal.  It only accepts.
     """
-    table, union, order = index
+    needy, table, union = index
     rank = t.rank
-    want: dict[NodeId, list[int]] = {}  # non-Union nodes, bottom-up
-    for x in order:
-        if not union[x]:
-            need = [1] * rank[x]
-            for y in table[x]:
-                need[rank[y]] -= 1
-                if not union[y]:
-                    for m, w in enumerate(want[y]):
-                        if w > 0:
-                            need[m] += w
-            want[x] = need
-    if any(w > 0 for w in want[t.root]):
+    want: dict[NodeId, list[int]] = {}  # non-Union nodes, bottom-up: by rank
+    for x in needy:
+        need = [1] * rank[x]
+        for y in table[x]:
+            need[rank[y]] -= 1
+            if not union[y]:
+                for m, w in enumerate(want[y]):
+                    if w > 0:
+                        need[m] += w
+        want[x] = need
+    if any(w > 0 for w in need):  # the root's, last by rank
         return None
     steps: list[tuple[NodeId, NodeId]] = []
-    given = {t.root: []}
+    given = {x: []}  # the root's
     for v in reversed(want):
         spare: list[list[NodeId]] = [[] for _ in range(rank[v])]
         for y in given[v] + table[v]:
@@ -191,7 +193,7 @@ def _by_donors(t: RankedTree, index: _Index) -> list[tuple[NodeId, NodeId]] | No
 
 
 class _Search:
-    """Shared state of one recognition run, and its one index of the input tree.
+    """Shared state of one recognition run, and its index of every node.
 
     The search runs only on a tree that passes the root filters and that
     the donor rule (:func:`_by_donors`) declines.  Every subproblem it
@@ -200,8 +202,8 @@ class _Search:
     below them untouched.  So one child table, one set of subtree keys
     and one bottom-up pass of per-node facts (rank-0 surplus, size, Union
     flag of the subtree below each node) serve every search node.  The
-    table, the Union flags and the bottom-up order come from
-    :func:`_index`, which the donor rule shares.
+    table completes the child lists the rule read, and the flags are the
+    rule's (:func:`_index`).
     """
 
     __slots__ = ("memo", "budget", "rank", "table", "keys", "surplus", "size", "union")
@@ -211,12 +213,21 @@ class _Search:
         # plan, which names its own input-tree nodes; None if not UF
         self.memo: dict[bytes, tuple[NodeId, list[NodeId], _Plan] | None] = {}
         self.budget = budget
-        self.rank = t.rank
-        self.table, self.union, order = index
-        self.keys = subtree_keys(t, self.table)
-        parent = t.parent
-        surplus, size = [1 if r == 0 else -1 for r in t.rank], [1] * t.node_count
-        for x in order[:-1]:  # the root has no parent to add into
+        self.rank, n, parent = t.rank, t.node_count, t.parent
+        _, table, self.union = index
+        for c in compress(range(n), map(self.union.__getitem__, parent)):
+            p = parent[c]
+            table[p] = table[p] or []  # a leaf keeps (): nothing goes below rank 0
+            table[p].append(c)
+        self.table, self.keys = table, subtree_keys(t, table)
+        # by rank is bottom-up, and the root is alone at the top rank
+        by_rank: list[list[NodeId]] = [[] for _ in range(max(self.rank) + 1)]
+        for x, r in enumerate(self.rank):
+            by_rank[r].append(x)
+        surplus, size = [-1] * n, [1] * n
+        for x in by_rank[0]:
+            surplus[x] = 1
+        for x in chain.from_iterable(by_rank[:-1]):  # the root adds into nothing
             p = parent[x]
             surplus[p] += surplus[x]
             size[p] += size[x]
@@ -827,13 +838,14 @@ def is_union_find_tree(t: RankedTree, budget: int | None = None) -> Verdict:
     characterization via pushes: pick the children that remain at depth
     one (their ranks must cover ``{0..rank(root)-1}``), push every other
     child below a strictly higher-ranked survivor, and recursively decide
-    each enriched subtree.  One index of the tree (:func:`_index`) serves
-    the rule and the whole search: every candidate subtree is a rank over
-    input-tree nodes, memoized by canonical key and searched unless its
-    Union flag or size decides it.  Targets are tried by rank, key and id,
-    so the search effort does not depend on the labeling.  The search keeps
-    plans, not steps; the certificate is assembled once, from the winning
-    plan.
+    each enriched subtree.  The rule reads only the non-Union nodes and
+    their children (:func:`_index`); a tree it declines gets the search's
+    index of every node, which completes the rule's.  Each candidate
+    subtree is a rank over input-tree nodes, memoized by canonical key and
+    searched unless its Union flag or size decides it.  Targets are tried
+    by rank, key and id, so the search effort does not depend on the
+    labeling.  The search keeps plans, not steps; the certificate is
+    assembled once, from the winning plan.
 
     ``budget`` caps the search effort in ticks; the root filters and the
     donor rule spend none, so at budget 0 only the search runs out.  Ticks

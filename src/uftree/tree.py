@@ -8,7 +8,7 @@ pure: input trees are never mutated, results are fresh values.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -343,13 +343,13 @@ def subtree_keys(t: RankedTree, table: list[list[NodeId]]) -> list[bytes]:
     rooted trees.  t must be valid, so that ascending rank is bottom-up and
     every rank-0 node is a leaf; only positive-rank nodes are encoded.
     """
-    enc = [b"0()"] * t.node_count  # node_key(0, [])
-    for x in sorted(filter(t.rank.__getitem__, range(t.node_count)), key=t.rank.__getitem__):
-        enc[x] = node_key(t.rank[x], [enc[c] for c in table[x]])
+    enc, rank = [b"0()"] * t.node_count, t.rank  # node_key(0, [])
+    for x in sorted(filter(rank.__getitem__, range(t.node_count)), key=rank.__getitem__):
+        enc[x] = node_key(rank[x], map(enc.__getitem__, table[x]))
     return enc
 
 
-def node_key(rank: int, child_keys: list[bytes]) -> bytes:
+def node_key(rank: int, child_keys: Iterable[bytes]) -> bytes:
     """Canonical key of a rank-``rank`` node over subtrees with these keys."""
     return b"%d(%s)" % (rank, b"".join(sorted(child_keys)))
 

@@ -396,7 +396,14 @@ class TestRecognizer:
     @given(ranked_trees(max_nodes=9))
     @settings(max_examples=80, deadline=None)
     def test_index_facts_match_the_subtrees(self, t):
-        st = _Search(t, None, recognize._index(t, set(zip(t.parent, t.rank))))
+        index = recognize._index(t, set(zip(t.parent, t.rank)))
+        st = _Search(t, None, index)
+        # the rule's non-Union nodes, bottom-up, are the search's, and their
+        # child lists complete into the child table
+        needy = index[0]
+        assert sorted(needy) == [x for x in range(t.node_count) if not st.union[x]]
+        assert [t.rank[x] for x in needy] == sorted(t.rank[x] for x in needy)
+        assert list(map(list, st.table)) == t.child_table()
         for x in range(t.node_count):
             sub, _ = subtree(t, x)
             assert st.surplus[x] == 2 * sub.rank.count(0) - sub.node_count
@@ -994,17 +1001,22 @@ class TestRecognizer:
             assert len(verdict.certificate) <= gap <= st_seed.node_count**2
 
 
+def engine_shapes() -> list[RankedTree]:
+    """The 38 shapes of the engine-positives benchmark corpus and of the wide
+    tree its known-defects run checks."""
+    trees = [random_uf_tree(n, s) for n in (100, 200, 400, 800) for s in range(8)]
+    trees += [largest_export(n, 1) for n in (500, 1000, 2000)]
+    return trees + [wide_tree(k) for k in (200, 900, 1200)]
+
+
 class TestDonorRule:
     # The rule costs no ticks and the search spends one at its root, so at
     # budget 0 a certificate comes from the rule and search-exhausted means
     # the rule declined.
 
     def test_engine_positive_shapes_are_accepted_without_the_search(self):
-        # the shapes of the engine-positives benchmark corpus; at budget
-        # 20,000 the search left 11 of them exhausted
-        trees = [random_uf_tree(n, s) for n in (100, 200, 400, 800) for s in range(8)]
-        trees += [largest_export(n, 1) for n in (500, 1000, 2000)]
-        trees += [wide_tree(k) for k in (200, 900, 1200)]
+        # at budget 20,000 the search left 11 of them exhausted
+        trees = engine_shapes()
         # the donors each node is handed, apart from the order of the steps
         digest, steps = hashlib.sha256(), 0
         for t in trees:
@@ -1018,6 +1030,18 @@ class TestDonorRule:
         assert digest.hexdigest() == (
             "14764a6baf3997f98633bea0cf0f0695be2d35021ff573766913588814cc4f6d"
         )
+
+    def test_an_accepted_tree_builds_no_search_index(self, monkeypatch):
+        # the rule reads only the non-Union nodes and their children; the
+        # child table of every node and the subtree keys are the search's
+        calls = []
+        table, keys, search = RankedTree.child_table, recognize.subtree_keys, _Search
+        monkeypatch.setattr(RankedTree, "child_table", lambda t: calls.append(t) or table(t))
+        monkeypatch.setattr(recognize, "subtree_keys", lambda *a: calls.append(a) or keys(*a))
+        monkeypatch.setattr(recognize, "_Search", lambda *a: calls.append(a) or search(*a))
+        for t in engine_shapes():
+            assert is_union_find_tree(t, budget=0).reason == REASON_CERTIFICATE, t.node_count
+        assert calls == []
 
     def test_a_20000_node_engine_tree_is_accepted_without_the_search(self):
         t = random_uf_tree(20_000, 0)
